@@ -2,14 +2,11 @@
 
 See :mod:`repro.cache.policy` for the admission policies,
 :mod:`repro.cache.audit` for the leakage gate, and
-``python -m repro.cache.bench`` for the gated latency bench.
+``python -m repro.bench cache`` for the gated latency bench.
 """
 
 from repro.cache.audit import (
-    CacheLeakageError,
-    audit_cache,
     cache_subject,
-    check_oblivious_cache,
     default_cache_workloads,
     replay_cache,
 )
@@ -33,7 +30,6 @@ __all__ = [
     "CACHE_REGION",
     "BatchMetadata",
     "BatchResultCache",
-    "CacheLeakageError",
     "CachePolicy",
     "CachePricer",
     "CacheStats",
@@ -41,9 +37,7 @@ __all__ = [
     "IndexKeyedLRUCache",
     "SecretIndependentCache",
     "StaticResidencyCache",
-    "audit_cache",
     "cache_subject",
-    "check_oblivious_cache",
     "default_cache_workloads",
     "replay_cache",
     "resolve_cache",

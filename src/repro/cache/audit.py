@@ -13,7 +13,8 @@ trace), and the :class:`~repro.telemetry.audit.LeakageAuditor` compares the
 decision traces in exact mode. A compliant policy produces the identical
 trace for every profile; a workload-keyed policy — the in-tree
 :class:`~repro.cache.policy.IndexKeyedLRUCache` negative control — does
-not, and :func:`check_oblivious_cache` raises :class:`CacheLeakageError`.
+not, and :meth:`~repro.telemetry.audit.LeakageAuditor.check` over its
+:func:`cache_subject` raises :class:`~repro.telemetry.audit.LeakageError`.
 
 The replay streams each secret through the full cache lifecycle: a plan
 (static admission, with the secret offered as the ``workload`` argument a
@@ -32,12 +33,7 @@ from repro.hybrid.allocator import FeatureAllocation
 from repro.oblivious.trace import MemoryTracer
 from repro.serving.backends import resolve_backend
 from repro.serving.engine import ServingConfig
-from repro.telemetry.audit import (
-    MODE_EXACT,
-    AuditFinding,
-    AuditSubject,
-    LeakageAuditor,
-)
+from repro.telemetry.audit import MODE_EXACT, AuditSubject
 from repro.utils.validation import check_positive
 
 from repro.cache.policy import (
@@ -91,10 +87,6 @@ def default_cache_workloads(num_rows: int = 4096,
     ]
 
 
-class CacheLeakageError(RuntimeError):
-    """A cache's admission/eviction decisions depended on observed indices."""
-
-
 def replay_cache(cache: SecretIndependentCache, secret: Sequence[int],
                  allocations: Optional[Sequence[FeatureAllocation]] = None,
                  pricer: Optional[CachePricer] = None) -> None:
@@ -145,33 +137,3 @@ def cache_subject(factory: CacheFactory,
 
     return AuditSubject(name, run, workloads, mode=MODE_EXACT,
                         expect_oblivious=expect_oblivious)
-
-
-def audit_cache(factory: CacheFactory,
-                workloads: Optional[Sequence[Sequence[int]]] = None,
-                auditor: Optional[LeakageAuditor] = None,
-                name: str = "cache",
-                expect_oblivious: bool = True) -> AuditFinding:
-    """Replay a cache policy across skew profiles; return the finding."""
-    if auditor is None:
-        auditor = LeakageAuditor()
-    return auditor.audit(cache_subject(factory, workloads, name=name,
-                                       expect_oblivious=expect_oblivious))
-
-
-def check_oblivious_cache(factory: CacheFactory,
-                          workloads: Optional[Sequence[Sequence[int]]] = None,
-                          auditor: Optional[LeakageAuditor] = None,
-                          name: str = "cache") -> AuditFinding:
-    """Gate: raise :class:`CacheLeakageError` if occupancy is workload-keyed.
-
-    This is the loud failure the cache bench and CI run before any policy
-    is allowed to serve traffic.
-    """
-    finding = audit_cache(factory, workloads, auditor=auditor, name=name)
-    if finding.leak_detected:
-        raise CacheLeakageError(
-            f"cache {name!r} admission depends on the observed request "
-            f"stream (trace divergence {finding.divergence:.3f}); "
-            f"index-keyed caching is a side channel")
-    return finding

@@ -1,4 +1,4 @@
-"""``python -m repro.cache.bench`` — the gated oblivious-caching sim.
+"""``python -m repro.bench cache`` — the gated oblivious-caching sim.
 
 Serves the Fig 13 Terabyte workload through the
 :class:`~repro.serving.engine.ExecutionEngine` for ``EPOCHS`` plan epochs,
@@ -23,8 +23,8 @@ epochs), and batch-level result sharing. Five gates with teeth:
   :mod:`repro.cache.audit`;
 * **leak_detector_teeth** — the in-tree
   :class:`~repro.cache.policy.IndexKeyedLRUCache` negative control is
-  flagged, and :func:`~repro.cache.audit.check_oblivious_cache` raises
-  :class:`~repro.cache.audit.CacheLeakageError` on it.
+  flagged, and :meth:`~repro.telemetry.audit.LeakageAuditor.check` raises
+  :class:`~repro.telemetry.audit.LeakageError` on it.
 
 The latency win is index-independent by construction — the same numbers
 hold on every skew profile, which is the whole point: skewed production
@@ -32,37 +32,35 @@ traffic gets the cache win *without* the cache learning the skew.
 
 The JSON report contains only modelled, seed-determined quantities — two
 runs with the same seed produce byte-identical files (CI ``cmp``-gates
-this). Wall-clock is printed to stdout as information only.
+this).
 """
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.bench import gate_verdicts
 from repro.cache.audit import (
-    CacheLeakageError,
     cache_subject,
-    check_oblivious_cache,
     default_cache_workloads,
     replay_cache,
 )
 from repro.cache.policy import (
     BatchResultCache,
-    CachePolicy,
     DecoderWeightCache,
     IndexKeyedLRUCache,
     SecretIndependentCache,
     StaticResidencyCache,
 )
-from repro.costmodel import DLRM_DHE_UNIFORM_16, DLRM_DHE_UNIFORM_64
+from repro.cluster.sim import build_model
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
+from repro.experiments.reporting import ExperimentResult
 from repro.oblivious.trace import MemoryTracer
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.engine import ExecutionEngine, ServingConfig
 from repro.serving.report import ServingReport
 from repro.serving.requests import RequestQueue
-from repro.telemetry.audit import LeakageAuditor
+from repro.telemetry.audit import LeakageAuditor, LeakageError
 
 NUM_REQUESTS = 512
 RATE_RPS = 2000.0
@@ -76,22 +74,6 @@ EPOCH_SECONDS = 0.05
 LRU_CAPACITY_ROWS = 256
 
 SKEW_NAMES = ("hot-head", "hot-tail", "uniform")
-
-
-def build_model(spec: DlrmDatasetSpec, batch: int):
-    """(uniform shape, thresholds) exactly as the cluster sim prices them."""
-    from repro.hybrid import OfflineProfiler, build_threshold_database
-
-    dim = spec.embedding_dim
-    uniform = DLRM_DHE_UNIFORM_16 if dim == 16 else DLRM_DHE_UNIFORM_64
-    profiler = OfflineProfiler(uniform)
-    profile = profiler.profile(techniques=("scan", "dhe-varied"),
-                               dims=(dim,), batches=(batch,),
-                               threads_list=(1,))
-    thresholds = build_threshold_database(
-        profile, dhe_technique="dhe-varied", dims=(dim,), batches=(batch,),
-        threads_list=(1,))
-    return uniform, thresholds
 
 
 def _summary(name: str, reports: Sequence[ServingReport],
@@ -229,11 +211,11 @@ def run_bench(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     audit_ok = all(audit_report.finding(name).passed for name in factories)
     lru_flagged = audit_report.finding("index-keyed-lru").leak_detected
     try:
-        check_oblivious_cache(
+        auditor.check(cache_subject(
             lambda t: IndexKeyedLRUCache(LRU_CAPACITY_ROWS, tracer=t),
-            workloads, name="index-keyed-lru")
+            workloads, name="index-keyed-lru"))
         lru_raised = False
-    except CacheLeakageError:
+    except LeakageError:
         lru_raised = True
     teeth_ok = lru_flagged and lru_raised
 
@@ -267,81 +249,33 @@ def run_bench(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     }
 
 
-def render(report: Dict[str, object]) -> str:
-    """Human-readable sweep summary (deterministic, mirrors the JSON)."""
-    lines = [f"cache bench (seed={report['seed']}, spec={report['spec']}, "
-             f"{report['num_requests']} requests x "
-             f"{report['epochs']} epochs x 2 serves @ "
-             f"{report['rate_rps']:.0f} rps)"]
+def table(report: Dict[str, object]) -> ExperimentResult:
+    """Per-scenario latency percentiles, busy time, hit rates, gates."""
+    result = ExperimentResult(
+        experiment_id="cache",
+        title=f"oblivious-safe caching (seed={report['seed']}, "
+              f"spec={report['spec']}, {report['num_requests']} requests x "
+              f"{report['epochs']} epochs x 2 serves @ "
+              f"{report['rate_rps']:.0f} rps)",
+        headers=("scenario", "p50_ms", "p99_ms", "busy_s", "hits", "misses",
+                 "hit_rate"),
+    )
     for scenario in report["scenarios"]:
-        hit_rate = scenario["cache_hit_rate"]
         cached = scenario["cache_hits"] is not None
-        lines.append(
-            f"  {scenario['name']:>21}: "
-            f"p50={scenario['p50_seconds'] * 1e3:.3f} ms  "
-            f"p99={scenario['p99_seconds'] * 1e3:.3f} ms  "
-            f"busy={scenario['busy_seconds']:.3f} s  "
-            + (f"hit-rate={hit_rate:.3f}" if cached else "uncached"))
-    lines.append(
-        f"  decoder admissions: shared={report['decoder_admissions_shared']} "
-        f"cold={report['decoder_admissions_cold']} "
-        f"(DHE features={report['dhe_features']})")
-    gates = report["gates"]
-    verdicts = "  ".join(f"{name}={'PASS' if ok else 'FAIL'}"
-                         for name, ok in gates.items() if name != "passed")
-    lines.append(f"  gates: {verdicts}")
-    return "\n".join(lines)
-
-
-def _wallclock_note(seed: int) -> str:
-    """Informational wall-clock of one cached vs uncached serve (stdout
-    only, never in the JSON)."""
-    import time
-
-    spec = TERABYTE_SPEC
-    uniform, thresholds = build_model(spec, BATCH)
-    config = ServingConfig(batch_size=BATCH)
-    arrivals = RequestQueue.poisson(NUM_REQUESTS, RATE_RPS, rng=seed)
-    plain = ExecutionEngine(spec.table_sizes, spec.embedding_dim, uniform,
-                            thresholds)
-    cached = ExecutionEngine(spec.table_sizes, spec.embedding_dim, uniform,
-                             thresholds,
-                             cache=CachePolicy("static-residency",
-                                               budget_bytes=BUDGET_BYTES))
-    start = time.perf_counter()
-    plain.serve(config, arrivals)
-    plain_s = time.perf_counter() - start
-    start = time.perf_counter()
-    cached.serve(config, arrivals)
-    cached_s = time.perf_counter() - start
-    return (f"wall-clock (informational, one serve): uncached "
-            f"{plain_s * 1e3:.1f}ms vs cached {cached_s * 1e3:.1f}ms "
-            f"simulator overhead")
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Oblivious-safe caching sweep: latency win, skew "
-                    "invariance, and leakage gates.")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the deterministic bench report")
-    parser.add_argument("--no-timing", action="store_true",
-                        help="skip the informational wall-clock comparison")
-    args = parser.parse_args(argv)
-
-    report = run_bench(seed=args.seed)
-    print(render(report))
-    if not args.no_timing:
-        print(_wallclock_note(args.seed))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return 0 if report["gates"]["passed"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+        result.add_row(
+            scenario["name"],
+            f"{scenario['p50_seconds'] * 1e3:.3f}",
+            f"{scenario['p99_seconds'] * 1e3:.3f}",
+            f"{scenario['busy_seconds']:.3f}",
+            scenario["cache_hits"] if cached else "-",
+            scenario["cache_misses"] if cached else "-",
+            f"{scenario['cache_hit_rate']:.3f}" if cached else "-")
+    result.notes = (
+        f"decoder admissions shared={report['decoder_admissions_shared']} "
+        f"vs cold={report['decoder_admissions_cold']} "
+        f"({report['dhe_features']} DHE features); gates: "
+        + gate_verdicts(report["gates"])
+        + "; every cache counter is identical across hot-head/hot-tail/"
+          "uniform index profiles and the index-keyed LRU negative control "
+          "is caught by the exact-mode audit")
+    return result

@@ -8,9 +8,8 @@ scatter-gather execution (:mod:`repro.cluster.scatter`), the plan-epoch
 control plane with live, audited table migration
 (:mod:`repro.cluster.epoch`, :mod:`repro.cluster.migration`), the
 self-healing elastic autoscaler (:mod:`repro.cluster.autoscale`), and the
-gated sweeps (``python -m repro.cluster.sim``,
-``python -m repro.cluster.migrate``,
-``python -m repro.cluster.autoscale``).
+gated sweeps (``python -m repro.bench cluster``, ``migrate`` and
+``autoscale``).
 """
 
 from repro.cluster.autoscale import (
@@ -20,11 +19,8 @@ from repro.cluster.autoscale import (
     ClusterSignals,
     HotLoadChasingController,
     ScaleDecision,
-    ScalingLeakageError,
     SignalPlane,
     Supervisor,
-    audit_scaling,
-    check_oblivious_scaling,
     default_scaling_workloads,
     scaling_subject,
 )
@@ -43,8 +39,6 @@ from repro.cluster.migration import (
     MigrationStep,
     TableMove,
     TransitioningOwnerMap,
-    audit_migration,
-    check_oblivious_migration,
     default_migration_workloads,
     migration_subject,
 )
@@ -52,21 +46,17 @@ from repro.cluster.placement import (
     PLACEMENT_REGION,
     FrequencyKeyedPlanner,
     PlacementError,
-    PlacementLeakageError,
     RingPlanner,
     ShardPlan,
     ShardPlanner,
     TablePlacement,
-    audit_placement,
-    check_oblivious_placement,
     default_placement_workloads,
     placement_subject,
 )
 from repro.cluster.router import ShardRouter, replica_table_sets, ring_hash
 # repro.cluster.sim and repro.cluster.migrate are deliberately NOT imported
-# here: they are the ``python -m`` entry points, and importing them from the
-# package would shadow the runpy execution (and slow ``import repro.cluster``
-# down with the experiment machinery).
+# here: they are gated benches, and importing them from the package would
+# slow ``import repro.cluster`` down with the experiment machinery.
 from repro.cluster.scatter import (
     ClusterServingReport,
     ClusterUnavailableError,
@@ -80,11 +70,8 @@ __all__ = [
     "ClusterSignals",
     "HotLoadChasingController",
     "ScaleDecision",
-    "ScalingLeakageError",
     "SignalPlane",
     "Supervisor",
-    "audit_scaling",
-    "check_oblivious_scaling",
     "default_scaling_workloads",
     "scaling_subject",
     "EpochControlPlane",
@@ -99,20 +86,15 @@ __all__ = [
     "MigrationStep",
     "TableMove",
     "TransitioningOwnerMap",
-    "audit_migration",
-    "check_oblivious_migration",
     "default_migration_workloads",
     "migration_subject",
     "PLACEMENT_REGION",
     "FrequencyKeyedPlanner",
     "PlacementError",
-    "PlacementLeakageError",
     "RingPlanner",
     "ShardPlan",
     "ShardPlanner",
     "TablePlacement",
-    "audit_placement",
-    "check_oblivious_placement",
     "default_placement_workloads",
     "placement_subject",
     "ShardRouter",

@@ -7,8 +7,7 @@ target node counts with hysteresis and cooldown (audited: decisions must
 replay byte-identically under contrasting skew profiles), and the
 :class:`~repro.cluster.autoscale.supervisor.Supervisor` re-replicates
 dead nodes' tables through the same audited migration path every planned
-reshape uses. The gated storm lives in ``python -m
-repro.cluster.autoscale``.
+reshape uses. The gated storm is ``python -m repro.bench autoscale``.
 """
 
 from repro.cluster.autoscale.controller import (
@@ -21,19 +20,15 @@ from repro.cluster.autoscale.controller import (
     AutoscaleConfig,
     HotLoadChasingController,
     ScaleDecision,
-    ScalingLeakageError,
-    audit_scaling,
-    check_oblivious_scaling,
     default_scaling_workloads,
     scaling_subject,
 )
 from repro.cluster.autoscale.signals import ClusterSignals, SignalPlane
 from repro.cluster.autoscale.supervisor import Supervisor
 
-# repro.cluster.autoscale.sim is deliberately NOT imported here: it is the
-# ``python -m repro.cluster.autoscale`` entry point (via __main__) and
-# importing it eagerly would drag the experiment machinery into every
-# ``import repro.cluster``.
+# repro.cluster.autoscale.sim is deliberately NOT imported here: it is a
+# gated bench, and importing it eagerly would drag the experiment
+# machinery into every ``import repro.cluster``.
 
 __all__ = [
     "ACTION_BLOCKED",
@@ -45,9 +40,6 @@ __all__ = [
     "AutoscaleConfig",
     "HotLoadChasingController",
     "ScaleDecision",
-    "ScalingLeakageError",
-    "audit_scaling",
-    "check_oblivious_scaling",
     "default_scaling_workloads",
     "scaling_subject",
     "ClusterSignals",

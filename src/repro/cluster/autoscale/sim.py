@@ -21,7 +21,7 @@ the elastic counterpart of ``repro.cluster.sim``'s:
   fleet ends the storm at full replication health;
 * **scaling audit** — the controller's decision trace is byte-identical
   across hot-head / hot-tail / uniform skew profiles in exact mode
-  (:func:`~repro.cluster.autoscale.controller.check_oblivious_scaling`),
+  (:func:`~repro.cluster.autoscale.controller.scaling_subject`),
   and the workload-chasing
   :class:`~repro.cluster.autoscale.controller.HotLoadChasingController`
   negative control is *caught*;
@@ -33,27 +33,24 @@ the elastic counterpart of ``repro.cluster.sim``'s:
 
 Everything derives from one seed; two runs emit byte-identical JSON
 (serialised with ``allow_nan=False`` — the report is NaN/inf-free by
-construction) and CI pins that with ``cmp``.
-
-CLI::
-
-    python -m repro.cluster.autoscale --seed 7 --json autoscale.json
+construction) and CI pins that with ``cmp``. Run it as
+``python -m repro.bench autoscale --seed 7 --json autoscale.json``.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
+from repro.bench import gate_verdicts
 from repro.cluster.autoscale.controller import (
+    ACTION_BLOCKED,
     ACTION_DOWN,
     ACTION_UP,
     Autoscaler,
     AutoscaleConfig,
     HotLoadChasingController,
-    audit_scaling,
-    check_oblivious_scaling,
     default_scaling_workloads,
+    scaling_subject,
 )
 from repro.cluster.autoscale.signals import ClusterSignals, SignalPlane
 from repro.cluster.autoscale.supervisor import Supervisor
@@ -61,17 +58,19 @@ from repro.cluster.epoch import EpochControlPlane, PlanEpoch
 from repro.cluster.migration import (
     BandwidthContentionModel,
     MigrationEngine,
-    audit_migration,
+    migration_subject,
 )
-from repro.cluster.placement import check_oblivious_placement
+from repro.cluster.placement import placement_subject
 from repro.cluster.scatter import ClusterServingReport, ScatterGatherEngine
 from repro.cluster.sim import build_model, plan_digest
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
+from repro.experiments.reporting import ExperimentResult
 from repro.resilience.dispatch import ResilientDispatcher
 from repro.resilience.retry import RetryPolicy
 from repro.serving import ServingConfig
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.requests import RequestQueue
+from repro.telemetry.audit import LeakageAuditor
 
 #: the autoscale gates CI enforces (ISSUE 8 acceptance criteria)
 CONVERGENCE_FLOOR = 0.9        # achieved / offered after the ramp
@@ -143,6 +142,7 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     sizes = spec.table_sizes
     uniform, thresholds = build_model(spec, batch)
     skews = default_scaling_workloads(len(sizes))
+    auditor = LeakageAuditor()
 
     # ------------------------------------------------------------------
     # Plans come from the ring planner (incremental reshards) and every
@@ -161,8 +161,8 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
                 base_planner = RingPlanner(nodes, thresholds, dim, uniform)
             planner = (base_planner if base_planner.num_nodes == nodes
                        else base_planner.for_nodes(nodes))
-            finding = check_oblivious_placement(planner, sizes, config,
-                                                workloads=skews)
+            finding = auditor.check(
+                placement_subject(planner, sizes, config, skews))
             placement_ok = placement_ok and finding.passed
             plans[nodes] = planner.plan(sizes, config)
             plan_audits.append({
@@ -309,8 +309,8 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
                                         step_size=STEP_SIZE,
                                         contention=contention)
             if candidate.move_set():
-                finding = audit_migration(
-                    candidate, name=f"{decision.action}-tick{tick}")
+                finding = auditor.audit(migration_subject(
+                    candidate, name=f"{decision.action}-tick{tick}"))
                 migration_ok = migration_ok and finding.passed
                 migration_audits.append({
                     "tick": tick,
@@ -334,7 +334,8 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
         if dead and pending is None:
             candidate = supervisor.heal(control, dead, step_size=STEP_SIZE,
                                         contention=contention)
-            finding = audit_migration(candidate, name=f"heal-tick{tick}")
+            finding = auditor.audit(
+                migration_subject(candidate, name=f"heal-tick{tick}"))
             migration_ok = migration_ok and finding.passed
             migration_audits.append({
                 "tick": tick,
@@ -387,11 +388,11 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     # ------------------------------------------------------------------
     # Gate: scale decisions are skew-invariant (exact mode) and the
     # workload-chasing controller is caught.
-    scaling_finding = check_oblivious_scaling(
-        lambda: Autoscaler(autoscale_config), timeline, skews)
-    negative = audit_scaling(
+    scaling_finding = auditor.check(scaling_subject(
+        lambda: Autoscaler(autoscale_config), timeline, skews))
+    negative = auditor.audit(scaling_subject(
         lambda: HotLoadChasingController(autoscale_config), timeline,
-        skews, name="hot-load-chasing", expect_oblivious=False)
+        skews, name="hot-load-chasing", expect_oblivious=False))
 
     # ------------------------------------------------------------------
     # Gate: the autoscale counters on the merged fleet report sum to the
@@ -454,12 +455,17 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     }
 
 
-def render(report: Dict[str, object]) -> str:
-    """Human-readable storm summary."""
-    lines = [f"autoscale storm (seed={report['seed']}, "
-             f"spec={report['spec']}, {report['ticks']} ticks x "
-             f"{report['interval_seconds']:.2f}s, R={report['replication']}, "
-             f"kill@t{report['kill_tick']})"]
+def table(report: Dict[str, object]) -> ExperimentResult:
+    """Per-interval signals, decisions and gate verdicts of the storm."""
+    result = ExperimentResult(
+        experiment_id="autoscale",
+        title=f"{report['spec']}: self-healing elastic autoscaling "
+              f"(seed={report['seed']}, {report['ticks']} ticks x "
+              f"{report['interval_seconds']:.2f}s, "
+              f"R={report['replication']}, kill@t{report['kill_tick']})",
+        headers=("tick", "kind", "offered", "achieved", "util", "nodes",
+                 "p99_ms", "shed", "decision"),
+    )
     for cell in report["intervals"]:
         signals = cell["signals"]
         decision = cell["decision"]
@@ -467,52 +473,25 @@ def render(report: Dict[str, object]) -> str:
         if decision["action"] in (ACTION_UP, ACTION_DOWN):
             verdict += (f" {decision['current_nodes']}->"
                         f"{decision['target_nodes']}")
-        elif decision["action"] == "blocked":
+        elif decision["action"] == ACTION_BLOCKED:
             verdict += f" ({decision['reason']})"
-        lines.append(
-            f"  t{cell['tick']:>2} {cell['kind']:>10}"
-            f"{' KILL' if cell['killed'] else ''}: "
-            f"offered={signals['offered_rps']:>6.0f} "
-            f"achieved={signals['achieved_rps']:>6.0f} "
-            f"util={signals['utilisation']:.2f} "
-            f"nodes={signals['current_nodes']} "
-            f"p99={cell['p99_seconds'] * 1e3:6.2f} ms "
-            f"shed={cell['shed_requests']:>3} -> {verdict}")
+        result.add_row(cell["tick"],
+                       cell["kind"] + (" KILL" if cell["killed"] else ""),
+                       f"{signals['offered_rps']:.0f}",
+                       f"{signals['achieved_rps']:.0f}",
+                       f"{signals['utilisation']:.2f}",
+                       signals["current_nodes"],
+                       f"{cell['p99_seconds'] * 1e3:.2f}",
+                       cell["shed_requests"], verdict)
     events = report["events"]
-    lines.append(f"  events: up={events['scale_up_events']} "
-                 f"down={events['scale_down_events']} "
-                 f"heal={events['heal_events']}  "
-                 f"converged@t{report['converged_tick']} "
-                 f"(peak@t{report['first_peak_tick']})  "
-                 f"final nodes={report['final_nodes']} "
-                 f"epoch={report['final_epoch']}")
-    gates = report["gates"]
-    verdicts = "  ".join(f"{name}={'PASS' if ok else 'FAIL'}"
-                         for name, ok in gates.items() if name != "passed")
-    lines.append(f"  gates: {verdicts}")
-    return "\n".join(lines)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Self-healing elastic autoscaling over the plan-epoch "
-                    "control plane, gated.")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the deterministic autoscale report")
-    args = parser.parse_args(argv)
-
-    report = run_autoscale(seed=args.seed)
-    print(render(report))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True,
-                      allow_nan=False)
-            handle.write("\n")
-    return 0 if report["gates"]["passed"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    result.notes = (
+        f"events: up={events['scale_up_events']} "
+        f"down={events['scale_down_events']} "
+        f"heal={events['heal_events']}; converged@t"
+        f"{report['converged_tick']} (peak@t{report['first_peak_tick']}); "
+        f"final nodes={report['final_nodes']}; gates: "
+        + gate_verdicts(report["gates"])
+        + "; scale decisions read secret-free aggregates only — the "
+          "decision trace replays byte-identically under contrasting "
+          "skews, and the hot-load-chasing anti-pattern is caught")
+    return result

@@ -6,12 +6,12 @@ under it — the plan-epoch control plane issues a successor epoch and the
 bounded steps against live traffic. The gates are the live-migration
 counterpart of ``repro.cluster.sim``'s:
 
-* **per-epoch placement audit** — every epoch's planner passes
-  :func:`~repro.cluster.placement.check_oblivious_placement` before its
+* **per-epoch placement audit** — every epoch's planner passes the
+  :func:`~repro.cluster.placement.placement_subject` gate before its
   plan may serve;
 * **migration audit** — every intermediate assignment (pending /
   in-flight / moved per step) replays identically under contrasting
-  workloads via :func:`~repro.cluster.migration.check_oblivious_migration`,
+  workloads via :func:`~repro.cluster.migration.migration_subject`,
   and the :class:`~repro.cluster.migration.HotFirstMigrationPlanner`
   negative control must be *caught*;
 * **zero loss at R >= 2** — no request drops during or after the
@@ -24,40 +24,37 @@ counterpart of ``repro.cluster.sim``'s:
   promise that a one-node reshard moves ~1/N of the copies).
 
 Everything derives from one seed; two runs emit byte-identical JSON and
-CI pins that with ``cmp``.
-
-CLI::
-
-    python -m repro.cluster.migrate --seed 7 --nodes-before 4 \
-        --nodes-after 5 --step-size 2 --json migrate.json
+CI pins that with ``cmp``. Run it as
+``python -m repro.bench migrate --seed 7 --json migrate.json``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Dict, List, Sequence
 
+from repro.bench import gate_verdicts
 from repro.cluster.epoch import EpochControlPlane, PlanEpoch
 from repro.cluster.migration import (
     HotFirstMigrationPlanner,
     MigrationEngine,
-    audit_migration,
-    check_oblivious_migration,
+    migration_subject,
 )
 from repro.cluster.placement import (
     RingPlanner,
-    check_oblivious_placement,
     default_placement_workloads,
+    placement_subject,
 )
 from repro.cluster.scatter import ScatterGatherEngine
 from repro.cluster.sim import build_model, plan_digest
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
+from repro.experiments.reporting import ExperimentResult
 from repro.resilience.dispatch import ResilientDispatcher
 from repro.resilience.retry import RetryPolicy
 from repro.serving import ServingConfig
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.requests import RequestQueue
+from repro.telemetry.audit import LeakageAuditor
 
 #: the migration gates CI enforces (ISSUE 5 acceptance criteria)
 P99_INFLATION_CEILING = 2.0    # window p99 vs steady state
@@ -100,7 +97,7 @@ def _scenario(direction: str, src_nodes: int, dst_nodes: int,
     source, target, engine, steady = steady_cache[key]
 
     migrator = MigrationEngine(source, target, step_size=step_size)
-    finding = check_oblivious_migration(migrator)
+    finding = LeakageAuditor().check(migration_subject(migrator))
     report = migrator.execute(engine, config, arrivals, policy)
     after = engine.serve(config, arrivals, policy,
                          owner_map=migrator.final_owner_map())
@@ -164,8 +161,8 @@ def run_migration(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     audits_passed = True
     for nodes in node_counts:
         planner = base if nodes == node_counts[0] else base.for_nodes(nodes)
-        finding = check_oblivious_placement(planner, sizes, config,
-                                            workloads=workloads)
+        finding = LeakageAuditor().check(
+            placement_subject(planner, sizes, config, workloads))
         audits_passed = audits_passed and finding.passed
         plans[nodes] = planner.plan(sizes, config)
         epoch_audits.append({
@@ -244,8 +241,8 @@ def run_migration(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     target = source.successor(plans[nodes_after])
     hot = MigrationEngine(source, target, step_size=1,
                           planner=HotFirstMigrationPlanner())
-    negative = audit_migration(hot, name="hot-first-migration",
-                               expect_oblivious=False)
+    negative = LeakageAuditor().audit(migration_subject(
+        hot, name="hot-first-migration", expect_oblivious=False))
     negative_ok = negative.leak_detected
 
     gates = {
@@ -280,71 +277,35 @@ def run_migration(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     }
 
 
-def render(report: Dict[str, object]) -> str:
-    """Human-readable migration sweep summary."""
-    lines = [f"migration sweep (seed={report['seed']}, "
-             f"spec={report['spec']}, {report['num_requests']} requests @ "
-             f"{report['rate_rps']:.0f} rps, "
-             f"{report['nodes_before']}<->{report['nodes_after']} nodes)"]
+def table(report: Dict[str, object]) -> ExperimentResult:
+    """Per-cell move-set size, window p99 inflation and gate verdicts."""
+    result = ExperimentResult(
+        experiment_id="migrate",
+        title=f"{report['spec']}: live plan-epoch migration "
+              f"(seed={report['seed']}, {report['num_requests']} requests "
+              f"@ {report['rate_rps']:.0f} rps, "
+              f"{report['nodes_before']}<->{report['nodes_after']} nodes)",
+        headers=("direction", "nodes", "R", "step", "moved", "bound",
+                 "steps", "shed", "window_p99_ms", "inflation"),
+    )
     for cell in report["cells"]:
-        lines.append(
-            f"  {cell['direction']:>6} {cell['nodes_before']}->"
-            f"{cell['nodes_after']} R={cell['replication']} "
-            f"step={cell['step_size']}: moved={cell['tables_moved']} "
-            f"(<= {cell['move_bound']})  steps={cell['num_steps']}  "
-            f"shed={cell['shed_requests']}  "
-            f"window p99={cell['window_p99_seconds'] * 1e3:.3f} ms "
-            f"({cell['p99_inflation']:.2f}x steady)")
+        result.add_row(cell["direction"],
+                       f"{cell['nodes_before']}->{cell['nodes_after']}",
+                       cell["replication"], cell["step_size"],
+                       cell["tables_moved"], cell["move_bound"],
+                       cell["num_steps"], cell["shed_requests"],
+                       f"{cell['window_p99_seconds'] * 1e3:.3f}",
+                       f"{cell['p99_inflation']:.2f}x")
     failover = report["failover"]
-    if failover["applicable"]:
-        lines.append(
-            f"  failover: killed node {failover['victim']} during the "
-            f"{failover['nodes_before']}->{failover['nodes_after']} R=2 "
-            f"migration -> shed={failover['shed_requests']} "
-            f"{'ZERO LOSS' if failover['zero_loss'] else 'LOSSY'}")
-    gates = report["gates"]
-    verdicts = "  ".join(f"{name}={'PASS' if ok else 'FAIL'}"
-                         for name, ok in gates.items() if name != "passed")
-    lines.append(f"  gates: {verdicts}")
-    return "\n".join(lines)
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Migrate embedding tables between plan epochs against "
-                    "live traffic, gated.")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--requests", type=int, default=NUM_REQUESTS)
-    parser.add_argument("--rate", type=float, default=RATE_RPS)
-    parser.add_argument("--nodes-before", type=int, default=NODES_BEFORE,
-                        help="fleet size of the source epoch "
-                             f"(default {NODES_BEFORE})")
-    parser.add_argument("--nodes-after", type=int, default=NODES_AFTER,
-                        help="fleet size of the target epoch "
-                             f"(default {NODES_AFTER})")
-    parser.add_argument("--step-size", type=int, default=None,
-                        help="tables moved per step (default: sweep "
-                             f"{STEP_SIZES})")
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the deterministic migration report")
-    args = parser.parse_args(argv)
-
-    step_sizes: Sequence[int] = (STEP_SIZES if args.step_size is None
-                                 else (args.step_size,))
-    report = run_migration(seed=args.seed, num_requests=args.requests,
-                           rate_rps=args.rate,
-                           nodes_before=args.nodes_before,
-                           nodes_after=args.nodes_after,
-                           step_sizes=step_sizes)
-    print(render(report))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return 0 if report["gates"]["passed"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    failover_note = (
+        f"killed node {failover['victim']} during the "
+        f"{failover['nodes_before']}->{failover['nodes_after']} R=2 "
+        f"migration: shed={failover['shed_requests']}"
+        if failover["applicable"] else "not applicable")
+    result.notes = (
+        f"failover: {failover_note}; gates: "
+        + gate_verdicts(report["gates"])
+        + "; move order is keyed on static table ids only — every "
+          "intermediate assignment replays identically under contrasting "
+          "workloads, and the hot-first anti-pattern is caught")
+    return result

@@ -36,17 +36,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.epoch import PlanEpoch
-from repro.cluster.placement import PlacementLeakageError
 from repro.oblivious.trace import WRITE, MemoryTracer
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.engine import ArrivalsLike, ServingConfig
 from repro.serving.requests import RequestQueue
-from repro.telemetry.audit import (
-    MODE_EXACT,
-    AuditFinding,
-    AuditSubject,
-    LeakageAuditor,
-)
+from repro.telemetry.audit import MODE_EXACT, AuditSubject
 from repro.telemetry.runtime import get_registry
 from repro.utils.validation import check_positive
 
@@ -150,7 +144,7 @@ class BandwidthContentionModel:
 class MigrationPlanner:
     """Orders the move-set by static metadata only (table id).
 
-    ``workload`` exists so :func:`check_oblivious_migration` can verify it
+    ``workload`` exists so :func:`migration_subject` can verify it
     is ignored — the same enforced-not-assumed contract the shard planner
     honours for placement.
     """
@@ -560,7 +554,7 @@ class MigrationEngine:
 
 
 # ----------------------------------------------------------------------
-# The migration-level leakage check (mirrors check_oblivious_placement).
+# The migration-level audit subject (mirrors placement_subject).
 # ----------------------------------------------------------------------
 def default_migration_workloads(num_tables: int,
                                 move_table_ids: Sequence[int],
@@ -600,34 +594,3 @@ def migration_subject(engine: MigrationEngine,
 
     return AuditSubject(name, run, workloads, mode=MODE_EXACT,
                         expect_oblivious=expect_oblivious)
-
-
-def audit_migration(engine: MigrationEngine,
-                    workloads: Optional[Sequence[Sequence[int]]] = None,
-                    auditor: Optional[LeakageAuditor] = None,
-                    name: str = "migration-planner",
-                    expect_oblivious: bool = True) -> AuditFinding:
-    """Replay the migration plan across workloads; return the finding."""
-    if auditor is None:
-        auditor = LeakageAuditor()
-    return auditor.audit(migration_subject(engine, workloads, name=name,
-                                           expect_oblivious=expect_oblivious))
-
-
-def check_oblivious_migration(engine: MigrationEngine,
-                              workloads: Optional[Sequence[Sequence[int]]]
-                              = None,
-                              auditor: Optional[LeakageAuditor] = None
-                              ) -> AuditFinding:
-    """Gate: raise :class:`PlacementLeakageError` if the move order leaks.
-
-    Run before any migration is allowed to execute against live traffic —
-    the same loud failure the placement gate gives a frequency-keyed plan.
-    """
-    finding = audit_migration(engine, workloads, auditor=auditor)
-    if finding.leak_detected:
-        raise PlacementLeakageError(
-            f"move order of {type(engine.planner).__name__} depends on the "
-            f"observed workload (trace divergence {finding.divergence:.3f}); "
-            f"hot-first migration is a side channel")
-    return finding

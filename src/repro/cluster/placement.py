@@ -12,8 +12,8 @@ only** — table id, table size, and the per-technique cost model — and the
 invariant is *enforced*, not assumed: the planner accepts the workload
 argument a frequency-keyed planner would want, routes every placement
 decision through a :class:`~repro.oblivious.trace.MemoryTracer`, and
-:func:`check_oblivious_placement` replays the planner under contrasting
-workloads with the :class:`~repro.telemetry.audit.LeakageAuditor`. A
+:func:`placement_subject` replays the planner under contrasting
+workloads through :meth:`~repro.telemetry.audit.LeakageAuditor.check`. A
 compliant planner produces the identical placement trace for every
 workload; :class:`FrequencyKeyedPlanner` (kept as the documented
 anti-pattern) does not, and the audit flags it.
@@ -41,12 +41,7 @@ from repro.hybrid.thresholds import ThresholdDatabase
 from repro.oblivious.trace import WRITE, MemoryTracer
 from repro.serving.backends import BackendLike, resolve_backend
 from repro.serving.engine import ServingConfig
-from repro.telemetry.audit import (
-    MODE_EXACT,
-    AuditFinding,
-    AuditSubject,
-    LeakageAuditor,
-)
+from repro.telemetry.audit import MODE_EXACT, AuditSubject
 from repro.telemetry.runtime import get_registry
 from repro.utils.validation import check_positive
 
@@ -56,10 +51,6 @@ PLACEMENT_REGION = "cluster.placement"
 
 class PlacementError(ValueError):
     """The table set cannot be placed (e.g. a node capacity is exceeded)."""
-
-
-class PlacementLeakageError(RuntimeError):
-    """A planner's placement depended on the observed workload."""
 
 
 @dataclass(frozen=True)
@@ -255,7 +246,7 @@ class ShardPlanner:
 
         ``workload`` is an observed index trace (what a frequency-keyed
         planner would bin into per-table heat). This planner accepts it
-        only so :func:`check_oblivious_placement` can verify it is ignored.
+        only so :func:`placement_subject` can verify it is ignored.
         """
         costs = self.table_costs(table_sizes, config)
         assigned = self._assign(costs, workload)
@@ -354,39 +345,3 @@ def placement_subject(planner: ShardPlanner, table_sizes: Sequence[int],
 
     return AuditSubject(name, run, workloads, mode=MODE_EXACT,
                         expect_oblivious=expect_oblivious)
-
-
-def audit_placement(planner: ShardPlanner, table_sizes: Sequence[int],
-                    config: ServingConfig,
-                    workloads: Optional[Sequence[Sequence[int]]] = None,
-                    auditor: Optional[LeakageAuditor] = None,
-                    name: str = "shard-planner",
-                    expect_oblivious: bool = True) -> AuditFinding:
-    """Replay the planner across workloads and return the audit finding."""
-    if auditor is None:
-        auditor = LeakageAuditor()
-    return auditor.audit(placement_subject(planner, table_sizes, config,
-                                           workloads, name=name,
-                                           expect_oblivious=expect_oblivious))
-
-
-def check_oblivious_placement(planner: ShardPlanner,
-                              table_sizes: Sequence[int],
-                              config: ServingConfig,
-                              workloads: Optional[Sequence[Sequence[int]]]
-                              = None,
-                              auditor: Optional[LeakageAuditor] = None
-                              ) -> AuditFinding:
-    """Gate: raise :class:`PlacementLeakageError` if placement leaks.
-
-    This is the loud failure the cluster simulator and CI run before any
-    plan is allowed to serve traffic.
-    """
-    finding = audit_placement(planner, table_sizes, config, workloads,
-                              auditor=auditor)
-    if finding.leak_detected:
-        raise PlacementLeakageError(
-            f"placement of {type(planner).__name__} depends on the observed "
-            f"workload (trace divergence {finding.divergence:.3f}); "
-            f"frequency-keyed sharding is a side channel")
-    return finding

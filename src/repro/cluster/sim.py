@@ -4,7 +4,8 @@ Sweeps the Fig 13 Terabyte serving workload across cluster topologies and
 enforces the scaling story the ROADMAP's north star needs:
 
 * **placement audit** — every plan that serves traffic first passes
-  :func:`~repro.cluster.placement.check_oblivious_placement`, and the sim
+  :meth:`~repro.telemetry.audit.LeakageAuditor.check` over its
+  :func:`~repro.cluster.placement.placement_subject`, and the sim
   additionally proves the gate has teeth by running the deliberately
   frequency-keyed planner and requiring the auditor to flag it;
 * **skew invariance** — the plan digest must be byte-identical under every
@@ -22,9 +23,7 @@ random input; placement, routing and pricing are deterministic), and the
 emitted JSON contains only simulated quantities — two runs with the same
 seed produce byte-identical artifacts; CI pins that with ``cmp``.
 
-CLI::
-
-    python -m repro.cluster.sim --seed 7 --json cluster.json
+Run it as ``python -m repro.bench cluster --seed 7 --json cluster.json``.
 """
 
 from __future__ import annotations
@@ -33,23 +32,25 @@ import hashlib
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.bench import gate_verdicts
 from repro.cluster.placement import (
     FrequencyKeyedPlanner,
     ShardPlan,
     ShardPlanner,
-    audit_placement,
-    check_oblivious_placement,
     default_placement_workloads,
+    placement_subject,
 )
 from repro.cluster.router import ShardRouter
 from repro.cluster.scatter import ClusterServingReport, ScatterGatherEngine
 from repro.costmodel import DLRM_DHE_UNIFORM_16, DLRM_DHE_UNIFORM_64
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
+from repro.experiments.reporting import ExperimentResult
 from repro.resilience.dispatch import ResilientDispatcher
 from repro.resilience.retry import RetryPolicy
 from repro.serving import ServingConfig
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.requests import RequestQueue
+from repro.telemetry.audit import LeakageAuditor
 
 #: the cluster gates CI enforces (ISSUE 4 acceptance criteria)
 SCALING_FLOOR = 3.0            # 1 -> 4 nodes at replication 2
@@ -135,6 +136,7 @@ def run_cluster(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     # One arrival trace for every topology: cells differ only in sharding.
     arrivals = RequestQueue.poisson(num_requests, rate_rps, rng=seed)
     skews = _skew_workloads(len(sizes))
+    auditor = LeakageAuditor()
 
     cells: List[Dict[str, object]] = []
     topologies: List[Dict[str, object]] = []
@@ -144,9 +146,9 @@ def run_cluster(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     skew_invariant = True
     for nodes in node_counts:
         planner = ShardPlanner(nodes, thresholds, dim, uniform)
-        # The leakage gate: raises PlacementLeakageError on a leaky planner.
-        finding = check_oblivious_placement(planner, sizes, config,
-                                            workloads=list(skews.values()))
+        # The leakage gate: raises LeakageError on a leaky planner.
+        finding = auditor.check(placement_subject(planner, sizes, config,
+                                                  list(skews.values())))
         audits_passed = audits_passed and finding.passed
         # Skew invariance: the plan digest must not move with the workload.
         digests = {name: plan_digest(planner.plan(sizes, config,
@@ -234,15 +236,14 @@ def run_cluster(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     # Gate: oblivious-safe caching on the top topology. Static whole-table
     # residency (audited: occupancy ignores the request stream) must cut
     # fleet busy time without inflating the gathered p99.
-    from repro.cache import CachePolicy, StaticResidencyCache
-    from repro.cache.audit import check_oblivious_cache
+    from repro.cache import CachePolicy, StaticResidencyCache, cache_subject
 
     cache_policy = CachePolicy("static-residency",
                                budget_bytes=CACHE_BUDGET_BYTES)
-    cache_finding = check_oblivious_cache(
+    cache_finding = auditor.check(cache_subject(
         lambda tracer: StaticResidencyCache(cache_policy.budget_bytes,
                                             tracer=tracer),
-        name="static-residency")
+        name="static-residency"))
     cached_planner = ShardPlanner(top_nodes, thresholds, dim, uniform)
     cached_router = ShardRouter(top_nodes, replication=top_repl,
                                 plan=cached_planner.plan(sizes, config))
@@ -272,10 +273,9 @@ def run_cluster(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     # ------------------------------------------------------------------
     # Gate with teeth: the frequency-keyed anti-pattern must be *caught*.
     leaky = FrequencyKeyedPlanner(max(node_counts), thresholds, dim, uniform)
-    negative = audit_placement(leaky, sizes, config,
-                               workloads=list(skews.values()),
-                               name="frequency-keyed-planner",
-                               expect_oblivious=False)
+    negative = auditor.audit(placement_subject(
+        leaky, sizes, config, list(skews.values()),
+        name="frequency-keyed-planner", expect_oblivious=False))
     negative_ok = negative.leak_detected
 
     gates = {
@@ -319,69 +319,35 @@ def run_cluster(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     }
 
 
-def render(report: Dict[str, object]) -> str:
-    """Human-readable sweep summary."""
-    lines = [f"cluster sweep (seed={report['seed']}, "
-             f"spec={report['spec']}, {report['num_requests']} requests @ "
-             f"{report['rate_rps']:.0f} rps)"]
+def table(report: Dict[str, object]) -> ExperimentResult:
+    """Per-topology throughput, p99, availability and gate verdicts."""
+    result = ExperimentResult(
+        experiment_id="cluster",
+        title=f"{report['spec']}: sharded oblivious serving "
+              f"(seed={report['seed']}, {report['num_requests']} requests "
+              f"@ {report['rate_rps']:.0f} rps)",
+        headers=("nodes", "R", "capacity_rps", "achieved_rps", "p99_ms",
+                 "availability", "shed", "shards"),
+    )
     for cell in report["cells"]:
-        lines.append(
-            f"  nodes={cell['nodes']} R={cell['replication']}: "
-            f"capacity={cell['capacity_rps']:.0f} rps  "
-            f"achieved={cell['cluster_throughput_rps']:.0f} rps  "
-            f"p99={cell['p99_seconds'] * 1e3:.3f} ms  "
-            f"availability={cell['availability']:.4f}  "
-            f"shed={cell['shed_requests']}")
-    lines.append(f"  scaling 1->{report['node_counts'][-1]} nodes: "
-                 f"{report['scaling']:.2f}x "
-                 f"(floor {report['scaling_floor']:.1f}x)  "
-                 f"p99 inflation {report['p99_inflation']:.2f}x "
-                 f"(ceiling {report['p99_inflation_ceiling']:.1f}x)")
-    caching = report["caching"]
-    lines.append(
-        f"  caching ({caching['policy']}): "
-        f"hit_rate={caching['cache_hit_rate']:.3f}  "
-        f"fleet busy {caching['uncached_fleet_busy_seconds']:.3f}s -> "
-        f"{caching['fleet_busy_seconds']:.3f}s  "
-        f"p99 {caching['uncached_p99_seconds'] * 1e3:.3f} -> "
-        f"{caching['p99_seconds'] * 1e3:.3f} ms  "
-        f"audit={'PASS' if caching['audit_passed'] else 'FAIL'}")
+        result.add_row(cell["nodes"], cell["replication"],
+                       f"{cell['capacity_rps']:.0f}",
+                       f"{cell['cluster_throughput_rps']:.0f}",
+                       f"{cell['p99_seconds'] * 1e3:.3f}",
+                       f"{cell['availability']:.4f}",
+                       cell["shed_requests"], cell["num_shards"])
     failover = report["failover"]
-    if failover["applicable"]:
-        lines.append(f"  failover: killed node {failover['victim']} of "
-                     f"{failover['nodes']} (R=2) -> "
-                     f"shed={failover['shed_requests']} "
-                     f"availability={failover['availability']:.4f} "
-                     f"{'ZERO LOSS' if failover['zero_loss'] else 'LOSSY'}")
-    gates = report["gates"]
-    verdicts = "  ".join(f"{name}={'PASS' if ok else 'FAIL'}"
-                         for name, ok in gates.items() if name != "passed")
-    lines.append(f"  gates: {verdicts}")
-    return "\n".join(lines)
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Sweep sharded oblivious serving across cluster "
-                    "topologies.")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--requests", type=int, default=NUM_REQUESTS)
-    parser.add_argument("--rate", type=float, default=RATE_RPS)
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the deterministic cluster report")
-    args = parser.parse_args(argv)
-
-    report = run_cluster(seed=args.seed, num_requests=args.requests,
-                         rate_rps=args.rate)
-    print(render(report))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return 0 if report["gates"]["passed"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    failover_note = (
+        f"killed node {failover['victim']} of {failover['nodes']} (R=2): "
+        f"shed={failover['shed_requests']}"
+        if failover["applicable"] else "not applicable")
+    result.notes = (
+        f"scaling {report['scaling']:.2f}x "
+        f"(floor {report['scaling_floor']:.1f}x), p99 inflation "
+        f"{report['p99_inflation']:.2f}x "
+        f"(ceiling {report['p99_inflation_ceiling']:.1f}x); "
+        f"failover: {failover_note}; gates: "
+        + gate_verdicts(report["gates"])
+        + "; placement is keyed on static table metadata only — the "
+          "leakage audit replays the planner under contrasting skews")
+    return result

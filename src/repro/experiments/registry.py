@@ -4,11 +4,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
+from repro.bench import BENCHES, unknown_ids_message
 from repro.experiments import (
-    autoscale_harness,
-    cache_harness,
-    chaos_harness,
-    cluster_harness,
     fig02_taxonomy,
     fig03_attack,
     fig04_dlrm_latency,
@@ -23,17 +20,13 @@ from repro.experiments import (
     fig13_throughput,
     fig14_llm_finetune,
     fig15_llm_e2e,
-    lazy_harness,
     llm_footprint,
-    llm_harness,
-    migration_harness,
     table01_complexity,
     table02_security,
     table05_accuracy,
     table06_footprint,
     table07_e2e_latency,
     table08_meta,
-    train_harness,
 )
 from repro.experiments.reporting import ExperimentResult
 
@@ -59,15 +52,20 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "table7": table07_e2e_latency.run,
     "table8": table08_meta.run,
     "llm-footprint": llm_footprint.run,
-    "cache": cache_harness.run,
-    "chaos": chaos_harness.run,
-    "cluster": cluster_harness.run,
-    "lazy": lazy_harness.run,
-    "migrate": migration_harness.run,
-    "autoscale": autoscale_harness.run,
-    "train": train_harness.run,
-    "llm": llm_harness.run,
 }
+
+
+def _bench_experiment(bench_id: str) -> Callable[..., ExperimentResult]:
+    """A gated bench as an experiment: ``table(run(seed, **sizing))``."""
+    def run(seed: int = 0, **sizing) -> ExperimentResult:
+        run_bench, table = BENCHES[bench_id]
+        return table(run_bench(seed=seed, **sizing))
+
+    return run
+
+
+EXPERIMENTS.update({bench_id: _bench_experiment(bench_id)
+                    for bench_id in BENCHES})
 
 
 def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
@@ -109,6 +107,10 @@ def main(argv=None) -> int:
                         help="dump results + telemetry snapshot as JSON")
     args = parser.parse_args(argv)
     ids = args.ids or list_experiments()
+    unknown = [experiment_id for experiment_id in ids
+               if experiment_id not in EXPERIMENTS]
+    if unknown:
+        parser.exit(2, unknown_ids_message(unknown, EXPERIMENTS))
     registry = MetricsRegistry()
     previous = set_registry(registry)
     try:

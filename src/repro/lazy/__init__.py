@@ -14,7 +14,7 @@ The three-layer pipeline (record -> fuse -> realize):
 
 :func:`capture` records a function once and returns a
 :class:`CapturedGraph` that replays byte-identically to eager execution.
-``python -m repro.lazy.bench`` runs the gated eager-vs-captured dispatch
+``python -m repro.bench lazy`` runs the gated eager-vs-captured dispatch
 comparison on the Fig 12/13 sweeps.
 """
 

@@ -15,7 +15,7 @@ one stage at a time:
   each owns its plan epochs, secret-free signal plane and hysteresis
   controller, all three sharing the audited migration path;
 * :mod:`repro.llm.bench` — the gated simulator
-  (``python -m repro.llm.bench``; registry id ``llm``).
+  (``python -m repro.bench llm``; registry id ``llm``).
 """
 
 from repro.llm.pools import StagePool

@@ -21,36 +21,34 @@ path. The gates:
   hot-load-chasing controller are both *caught*;
 * **elasticity** — every pool logs >= 1 scale event, every pool's
   decision timeline replays skew-invariantly through
-  :func:`~repro.cluster.autoscale.controller.check_oblivious_scaling`,
+  :func:`~repro.cluster.autoscale.controller.scaling_subject`,
   and every plan/migration the pools touched passed its audit;
 * **live parity** — the live probe (real square-root ORAM tokenization,
   real per-token Circuit-ORAM decode loop hanging off the pipeline's
   decode batches) returns the same values as the plain tables.
 
 Everything derives from one seed; two runs emit byte-identical JSON
-(``allow_nan=False``) and CI pins that with ``cmp``.
-
-CLI::
-
-    python -m repro.llm.bench --seed 7 --json llm.json --no-timing
+(``allow_nan=False``) and CI pins that with ``cmp``. Run it as
+``python -m repro.bench llm --seed 7 --json llm.json``.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 import numpy as np
 
+from repro.bench import gate_verdicts
 from repro.cluster.autoscale.controller import (
     AutoscaleConfig,
     HotLoadChasingController,
-    audit_scaling,
     default_scaling_workloads,
+    scaling_subject,
 )
 from repro.cluster.placement import RingPlanner
 from repro.cluster.sim import build_model
 from repro.data import KAGGLE_SPEC, DlrmDatasetSpec
+from repro.experiments.reporting import ExperimentResult
 from repro.llm.pools import StagePool
 from repro.llm.stages import (
     LlmServingSpec,
@@ -276,11 +274,11 @@ def run_bench(seed: int = 0,
                             spec, prompt_length=AUDIT_PROMPT_LENGTH,
                             seed=seed))
     }
-    hot_load = audit_scaling(
+    hot_load = auditor.audit(scaling_subject(
         lambda: HotLoadChasingController(
             pools["prefill"].autoscale_config),
         pools["prefill"].timeline, skews, name="hot-load-chasing",
-        expect_oblivious=False)
+        expect_oblivious=False))
 
     # ------------------------------------------------------------------
     # Elasticity gates: every pool scaled at least once, every pool's
@@ -341,86 +339,48 @@ def run_bench(seed: int = 0,
     }
 
 
-def render(report: Dict[str, object]) -> str:
-    """Human-readable ramp summary (deterministic, mirrors the JSON)."""
-    lines = [f"llm serving bench (seed={report['seed']}, "
-             f"{report['ticks']} ticks x "
-             f"{report['interval_seconds']:.2f}s, "
-             f"prompt={report['spec']['prompt_tokens']} "
-             f"new={report['spec']['new_tokens']})"]
+def table(report: Dict[str, object]) -> ExperimentResult:
+    """Per-interval node counts, decode p99 and scale decisions, gated."""
+    spec = report["spec"]
+    result = ExperimentResult(
+        experiment_id="llm",
+        title=f"oblivious LLM serving: tokenize/prefill/decode pools "
+              f"(seed={report['seed']}, {report['ticks']} ticks x "
+              f"{report['interval_seconds']:.2f}s, "
+              f"prompt={spec['prompt_tokens']} new={spec['new_tokens']})",
+        headers=("tick", "rate", "tok", "pre", "dec", "decode_p99_ms",
+                 "decisions"),
+    )
     for cell in report["intervals"]:
         nodes = cell["nodes"]
-        verdicts = []
+        decisions = []
         for name in ("tokenize", "prefill", "decode"):
             decision = cell["pools"][name]["decision"]
             if decision["action"] in ("scale-up", "scale-down"):
-                verdicts.append(
+                decisions.append(
                     f"{name} {decision['action']} "
                     f"{decision['current_nodes']}->"
                     f"{decision['target_nodes']}")
         decode = cell["pipeline"]["stages"]["decode"]
-        lines.append(
-            f"  t{cell['tick']:>2}: rate={cell['rate_rps']:>6.0f} "
-            f"nodes=({nodes['tokenize']},{nodes['prefill']},"
-            f"{nodes['decode']}) "
-            f"decode p99={decode['p99_seconds'] * 1e3:6.2f} ms"
-            + (f"  [{'; '.join(verdicts)}]" if verdicts else ""))
-    lines.append(
-        f"  tokens/sec={report['tokens_per_second']:.0f} "
-        f"(floor {report['tokens_per_second_floor']:.0f})  "
-        f"decode p99/token="
-        f"{report['decode_p99_per_token_seconds'] * 1e3:.3f} ms "
-        f"(ceiling "
-        f"{report['decode_p99_per_token_ceiling'] * 1e3:.3f} ms)")
-    for name, pool in report["pools"].items():
-        events = pool["events"]
-        lines.append(
-            f"  pool {name:>8}: final nodes={pool['final_nodes']} "
-            f"epoch={pool['final_epoch']} "
-            f"up={events['scale_up_events']} "
-            f"down={events['scale_down_events']}")
-    gates = report["gates"]
-    verdicts = "  ".join(f"{name}={'PASS' if ok else 'FAIL'}"
-                         for name, ok in gates.items() if name != "passed")
-    lines.append(f"  gates: {verdicts}")
-    return "\n".join(lines)
-
-
-def _wallclock_note(seed: int) -> str:
-    """Informational wall-clock of one bench run (stdout only, never in
-    the JSON)."""
-    import time
-
-    start = time.perf_counter()
-    run_bench(seed=seed)
-    elapsed = time.perf_counter() - start
-    return f"wall-clock (informational): one bench run {elapsed:.2f}s"
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="End-to-end oblivious LLM serving: three autoscaled "
-                    "pools, one audited pipeline, gated.")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the deterministic bench report")
-    parser.add_argument("--no-timing", action="store_true",
-                        help="skip the informational wall-clock note")
-    args = parser.parse_args(argv)
-
-    report = run_bench(seed=args.seed)
-    print(render(report))
-    if not args.no_timing:
-        print(_wallclock_note(args.seed))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True,
-                      allow_nan=False)
-            handle.write("\n")
-    return 0 if report["gates"]["passed"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+        result.add_row(cell["tick"], f"{cell['rate_rps']:.0f}",
+                       nodes["tokenize"], nodes["prefill"],
+                       nodes["decode"],
+                       f"{decode['p99_seconds'] * 1e3:.2f}",
+                       "; ".join(decisions) or "-")
+    events = {name: pool["events"] for name, pool in
+              report["pools"].items()}
+    result.notes = (
+        f"tokens/sec={report['tokens_per_second']:.0f} (floor "
+        f"{report['tokens_per_second_floor']:.0f}); decode p99/token="
+        f"{report['decode_p99_per_token_seconds'] * 1e3:.3f} ms (ceiling "
+        f"{report['decode_p99_per_token_ceiling'] * 1e3:.3f} ms); events: "
+        + ", ".join(f"{name} up={event['scale_up_events']} "
+                    f"down={event['scale_down_events']}"
+                    for name, event in events.items())
+        + "; gates: "
+        + gate_verdicts(report["gates"])
+        + "; each pool scales on its own secret-free signal plane, all "
+          "reshapes ride the shared audited migration path, and the "
+          "boundary-leaking tokenizer + hot-load-chasing controller are "
+          "both caught")
+    return result

@@ -13,18 +13,16 @@ only simulated quantities (latencies in simulated seconds, event counts,
 deterministic counters — never wall-clock spans), so two runs with the
 same seed produce byte-identical artifacts; CI pins that.
 
-CLI::
-
-    python -m repro.resilience.chaos --seed 7 --json chaos.json
+Run it as ``python -m repro.bench chaos --seed 7 --json chaos.json``.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
 from repro.costmodel import DLRM_DHE_UNIFORM_16, DLRM_DHE_UNIFORM_64
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
+from repro.experiments.reporting import ExperimentResult
 from repro.resilience.degradation import DegradationLadder
 from repro.resilience.faults import (
     FaultInjector,
@@ -158,53 +156,36 @@ def run_chaos(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     }
 
 
-def render(report: Dict[str, object]) -> str:
-    """Human-readable chaos summary."""
-    lines = [f"chaos run (seed={report['seed']}, spec={report['spec']}, "
-             f"{report['num_requests']} requests @ "
-             f"{report['rate_rps']:.0f} rps)"]
+def table(report: Dict[str, object]) -> ExperimentResult:
+    """Availability, p99 inflation and audit verdicts per scenario."""
+    result = ExperimentResult(
+        experiment_id="chaos",
+        title=f"{report['spec']}: serving under faults "
+              f"(seed={report['seed']}, {report['num_requests']} requests "
+              f"@ {report['rate_rps']:.0f} rps)",
+        headers=("scenario", "availability", "p99_ms", "p99_inflation",
+                 "sla_violations", "retries", "shed", "degradations",
+                 "audits"),
+    )
     for scenario in report["scenarios"]:
-        lines.append(
-            f"  {scenario['name']:<24} availability="
-            f"{scenario['availability']:.4f}  p99="
-            f"{scenario['p99_seconds'] * 1e3:.3f} ms "
-            f"({scenario['p99_inflation']:.2f}x)  "
-            f"sla_violations={scenario['sla_violations']}  "
-            f"retries={scenario['retries_total']}  "
-            f"shed={scenario['shed_requests']}  "
-            f"degradations={len(scenario['degradations'])}")
-        for event in scenario["degradations"]:
-            verdict = "ok" if event["audit_passed"] else "LEAKY"
-            lines.append(f"    degraded {event['from']} -> {event['to']} "
-                         f"(batch {event['batch_index']}, "
-                         f"{event['cause']}): audit {verdict}")
+        audits = ("ok" if all(event["audit_passed"]
+                              for event in scenario["degradations"])
+                  else "LEAKY")
+        result.add_row(scenario["name"],
+                       f"{scenario['availability']:.4f}",
+                       f"{scenario['p99_seconds'] * 1e3:.3f}",
+                       f"{scenario['p99_inflation']:.2f}x",
+                       scenario["sla_violations"],
+                       scenario["retries_total"],
+                       scenario["shed_requests"],
+                       len(scenario["degradations"]),
+                       audits)
     gates = report["gates"]
-    lines.append(f"  gates: availability={'PASS' if gates['availability'] else 'FAIL'} "
-                 f"degradation_audits={'PASS' if gates['degradation_audits'] else 'FAIL'}")
-    return "\n".join(lines)
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Replay the serving sweep under injected faults.")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--requests", type=int, default=NUM_REQUESTS)
-    parser.add_argument("--rate", type=float, default=RATE_RPS)
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the deterministic chaos report")
-    args = parser.parse_args(argv)
-
-    report = run_chaos(seed=args.seed, num_requests=args.requests,
-                       rate_rps=args.rate)
-    print(render(report))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return 0 if report["gates"]["passed"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    result.notes = (f"gates: availability "
+                    f"{'PASS' if gates['availability'] else 'FAIL'} "
+                    f"(floor {report['availability_floor']}), "
+                    f"degradation audits "
+                    f"{'PASS' if gates['degradation_audits'] else 'FAIL'}; "
+                    f"degraded techniques stay inside the oblivious set "
+                    f"(never raw lookup)")
+    return result

@@ -53,6 +53,7 @@ from repro.telemetry.audit import (
     AuditReport,
     AuditSubject,
     LeakageAuditor,
+    LeakageError,
     address_histograms,
     histogram_divergence,
     standard_audit,
@@ -93,6 +94,7 @@ __all__ = [
     "AuditReport",
     "AuditSubject",
     "LeakageAuditor",
+    "LeakageError",
     "address_histograms",
     "histogram_divergence",
     "standard_audit",

@@ -93,6 +93,18 @@ def histogram_divergence(traces: Sequence[Sequence[AccessEvent]]
     return worst
 
 
+class LeakageError(RuntimeError):
+    """A subject that must be oblivious produced secret-dependent traces."""
+
+    def __init__(self, subject: str, divergence: float) -> None:
+        super().__init__(
+            f"{subject!r} depends on the secret it replays (trace "
+            f"divergence {divergence:.3f}); a secret-keyed decision is a "
+            f"side channel")
+        self.subject = subject
+        self.divergence = divergence
+
+
 @dataclass(frozen=True)
 class AuditSubject:
     """One implementation under audit and the secrets to replay."""
@@ -247,6 +259,17 @@ class LeakageAuditor:
             registry.counter("audit.leaks_detected_total").inc()
         if not finding.passed:
             registry.counter("audit.failures_total").inc()
+        return finding
+
+    def check(self, subject: AuditSubject) -> AuditFinding:
+        """Gate: audit ``subject`` and raise :class:`LeakageError` on a leak.
+
+        The loud failure every planner, cache, migration and controller
+        must pass before it may serve traffic.
+        """
+        finding = self.audit(subject)
+        if finding.leak_detected:
+            raise LeakageError(subject.name, finding.divergence)
         return finding
 
     def run(self, subjects: Sequence[AuditSubject]) -> AuditReport:

@@ -7,8 +7,8 @@ forward batch with one lookahead access and writes the row gradients back
 as a second lookahead batch over the identical slot list, while
 :class:`TrainingLoop` drives a DLRM through the existing ``repro.nn``
 autograd with the dense weights updated in place by ``repro.nn.optim``.
-Gated end-to-end by ``python -m repro.training.bench`` (registry id
-``train``); threat model and design in docs/TRAINING.md.
+Gated end-to-end by ``python -m repro.bench train`` (bench and registry
+id ``train``); threat model and design in docs/TRAINING.md.
 """
 
 from repro.training.embedding import OnlineOramEmbedding

@@ -3,9 +3,7 @@
 import pytest
 
 from repro.cache.audit import (
-    CacheLeakageError,
-    audit_cache,
-    check_oblivious_cache,
+    cache_subject,
     default_cache_workloads,
     replay_cache,
 )
@@ -17,6 +15,7 @@ from repro.cache.policy import (
     StaticResidencyCache,
 )
 from repro.oblivious.trace import MemoryTracer
+from repro.telemetry.audit import LeakageAuditor, LeakageError
 
 FACTORIES = {
     "static-residency": lambda t: StaticResidencyCache(2 ** 24, tracer=t),
@@ -28,14 +27,16 @@ FACTORIES = {
 class TestHonestPolicies:
     @pytest.mark.parametrize("name", sorted(FACTORIES))
     def test_exact_mode_audit_passes(self, name):
-        finding = audit_cache(FACTORIES[name], name=name)
+        finding = LeakageAuditor().audit(
+            cache_subject(FACTORIES[name], name=name))
         assert finding.passed, finding
         assert not finding.leak_detected
         assert finding.divergence == 0.0
 
     @pytest.mark.parametrize("name", sorted(FACTORIES))
     def test_check_returns_finding(self, name):
-        finding = check_oblivious_cache(FACTORIES[name], name=name)
+        finding = LeakageAuditor().check(
+            cache_subject(FACTORIES[name], name=name))
         assert finding.passed
 
     @pytest.mark.parametrize("name", sorted(FACTORIES))
@@ -50,17 +51,21 @@ class TestHonestPolicies:
 
 class TestNegativeControl:
     def test_lru_is_flagged(self):
-        finding = audit_cache(lambda t: IndexKeyedLRUCache(64, tracer=t),
-                              name="index-keyed-lru",
-                              expect_oblivious=False)
+        finding = LeakageAuditor().audit(cache_subject(
+            lambda t: IndexKeyedLRUCache(64, tracer=t),
+            name="index-keyed-lru", expect_oblivious=False))
         assert finding.leak_detected
         assert finding.divergence > 0.0
         assert finding.passed      # leak expected -> finding passes
 
     def test_check_raises(self):
-        with pytest.raises(CacheLeakageError, match="side channel"):
-            check_oblivious_cache(lambda t: IndexKeyedLRUCache(64, tracer=t),
-                                  name="index-keyed-lru")
+        auditor = LeakageAuditor()
+        with pytest.raises(LeakageError, match="side channel") as caught:
+            auditor.check(cache_subject(
+                lambda t: IndexKeyedLRUCache(64, tracer=t),
+                name="index-keyed-lru"))
+        assert caught.value.subject == "index-keyed-lru"
+        assert caught.value.divergence > auditor.divergence_threshold
 
 
 class TestWorkloads:

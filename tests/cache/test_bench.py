@@ -5,12 +5,13 @@ import json
 
 import pytest
 
+from repro import bench as cli
 from repro.cache import bench
 
 
 @pytest.fixture(scope="module")
-def report():
-    return bench.run_bench(seed=3)
+def report(bench_report):
+    return bench_report("cache", 3)
 
 
 class TestBenchReport:
@@ -60,9 +61,10 @@ class TestBenchReport:
 
 
 class TestCli:
-    def test_main_json_round_trips(self, tmp_path):
+    def test_main_json_round_trips(self, report, stub_bench, tmp_path):
+        stub_bench("cache", report)
         out = tmp_path / "cache_bench.json"
-        code = bench.main(["--seed", "3", "--json", str(out), "--no-timing"])
+        code = cli.main(["cache", "--seed", "3", "--json", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["gates"]["passed"]

@@ -10,12 +10,10 @@ from repro.cluster.autoscale import (
     AutoscaleConfig,
     ClusterSignals,
     HotLoadChasingController,
-    ScalingLeakageError,
     SignalPlane,
     Supervisor,
-    audit_scaling,
-    check_oblivious_scaling,
     default_scaling_workloads,
+    scaling_subject,
 )
 from repro.cluster.epoch import EpochControlPlane, PlanEpoch
 from repro.cluster.migration import BandwidthContentionModel
@@ -23,6 +21,7 @@ from repro.cluster.placement import RingPlanner
 from repro.costmodel.latency import DLRM_DHE_UNIFORM_64
 from repro.data import TERABYTE_SPEC
 from repro.oblivious.trace import MemoryTracer
+from repro.telemetry.audit import LeakageAuditor, LeakageError
 from repro.resilience.dispatch import ResilientDispatcher
 
 from .conftest import DIM
@@ -156,29 +155,32 @@ class TestScalingAudit:
                 for tick, util in enumerate(utils)]
 
     def test_compliant_controller_passes(self):
-        finding = check_oblivious_scaling(
+        finding = LeakageAuditor().check(scaling_subject(
             lambda: Autoscaler(CONFIG), self.timeline(),
-            default_scaling_workloads(NUM_TABLES))
+            default_scaling_workloads(NUM_TABLES)))
         assert finding.passed
         assert not finding.leak_detected
 
     def test_hot_load_chaser_is_caught(self):
-        finding = audit_scaling(
+        finding = LeakageAuditor().audit(scaling_subject(
             lambda: HotLoadChasingController(CONFIG), self.timeline(),
             default_scaling_workloads(NUM_TABLES),
-            name="hot-load-chasing", expect_oblivious=False)
+            name="hot-load-chasing", expect_oblivious=False))
         assert finding.leak_detected
         assert finding.passed  # expected to leak, and it did
 
     def test_gate_raises_on_the_chaser(self):
-        with pytest.raises(ScalingLeakageError, match="side channel"):
-            check_oblivious_scaling(
+        auditor = LeakageAuditor()
+        with pytest.raises(LeakageError, match="side channel") as caught:
+            auditor.check(scaling_subject(
                 lambda: HotLoadChasingController(CONFIG), self.timeline(),
-                default_scaling_workloads(NUM_TABLES))
+                default_scaling_workloads(NUM_TABLES)))
+        assert caught.value.subject == "autoscaler"
+        assert caught.value.divergence > auditor.divergence_threshold
 
     def test_empty_timeline_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            check_oblivious_scaling(
+            scaling_subject(
                 lambda: Autoscaler(CONFIG), [],
                 default_scaling_workloads(NUM_TABLES))
 

@@ -1,25 +1,29 @@
 """Autoscale simulator: gates, storm storyline, determinism, CLI."""
 
 import json
-import subprocess
-import sys
 
 import pytest
 
+from repro import bench as cli
 from repro.cluster.autoscale.sim import (
     KILL_TICK,
     MAX_NODES,
     MIN_NODES,
     REPLICATION,
-    main,
     rate_schedule,
-    render,
     run_autoscale,
+    table,
 )
 
 
 @pytest.fixture(scope="module")
-def report():
+def report(bench_report):
+    return bench_report("autoscale", 7)
+
+
+@pytest.fixture(scope="module")
+def again():
+    """The explicit determinism re-run (same seed)."""
     return run_autoscale(seed=7)
 
 
@@ -105,8 +109,7 @@ class TestStorm:
 
 
 class TestDeterminism:
-    def test_same_seed_same_report(self, report):
-        again = run_autoscale(seed=7)
+    def test_same_seed_same_report(self, report, again):
         assert json.dumps(report, sort_keys=True) == \
             json.dumps(again, sort_keys=True)
 
@@ -114,36 +117,31 @@ class TestDeterminism:
         payload = json.dumps(report, allow_nan=False, sort_keys=True)
         assert "Infinity" not in payload
 
-    def test_different_seed_different_arrivals(self, report):
-        other = run_autoscale(seed=8)
+    def test_different_seed_different_arrivals(self, report, bench_report):
+        other = bench_report("autoscale", 8)
         assert [c["p99_seconds"] for c in other["intervals"]] != \
             [c["p99_seconds"] for c in report["intervals"]]
 
-    def test_decisions_do_not_depend_on_the_seed(self, report):
-        other = run_autoscale(seed=8)
+    def test_decisions_do_not_depend_on_the_seed(self, report, bench_report):
+        other = bench_report("autoscale", 8)
         assert [c["decision"]["action"] for c in other["intervals"]] == \
             [c["decision"]["action"] for c in report["intervals"]]
 
 
 class TestCli:
-    def test_cli_json_byte_identical(self, tmp_path):
-        paths = [tmp_path / "a.json", tmp_path / "b.json"]
-        for path in paths:
-            code = subprocess.run(
-                [sys.executable, "-m", "repro.cluster.autoscale",
-                 "--seed", "7", "--json", str(path)],
-                capture_output=True, text=True).returncode
-            assert code == 0
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+    def test_cli_json_byte_identical(self, bench_json_bytes):
+        assert (bench_json_bytes("autoscale", 7, hash_seed=0)
+                == bench_json_bytes("autoscale", 7, hash_seed=1))
 
-    def test_main_returns_zero_on_pass(self, capsys):
-        assert main(["--seed", "7"]) == 0
+    def test_main_returns_zero_on_pass(self, report, stub_bench, capsys):
+        stub_bench("autoscale", report)
+        assert cli.main(["autoscale", "--seed", "7"]) == 0
         out = capsys.readouterr().out
-        assert "autoscale storm" in out
+        assert "self-healing elastic autoscaling" in out
         assert "gates:" in out
 
     def test_render_shows_blocked_reason(self, report):
-        text = render(report)
+        text = table(report).render()
         assert "blocked (breakers-open)" in text
         assert "KILL" in text
         assert f"final nodes={report['final_nodes']}" in text

@@ -1,18 +1,23 @@
 """Migration simulator: gates, determinism, and the CLI contract."""
 
 import json
-import subprocess
-import sys
 
 import pytest
 
-from repro.cluster.migrate import main, move_bound, render, run_migration
+from repro import bench as cli
+from repro.cluster.migrate import move_bound, run_migration, table
 
 SMALL = dict(num_requests=96, rate_rps=2000.0)
 
 
 @pytest.fixture(scope="module")
-def report():
+def report(bench_report):
+    return bench_report("migrate", 7, **SMALL)
+
+
+@pytest.fixture(scope="module")
+def again():
+    """The explicit determinism re-run (same seed, same sizing)."""
     return run_migration(seed=7, **SMALL)
 
 
@@ -58,8 +63,7 @@ class TestGates:
 
 
 class TestDeterminism:
-    def test_same_seed_same_report(self, report):
-        again = run_migration(seed=7, **SMALL)
+    def test_same_seed_same_report(self, report, again):
         assert json.dumps(report, sort_keys=True) == \
             json.dumps(again, sort_keys=True)
 
@@ -93,9 +97,10 @@ class TestSweepShape:
                 assert (cell["nodes_before"], cell["nodes_after"]) == (5, 4)
 
     def test_render_mentions_gates(self, report):
-        text = render(report)
+        text = table(report).render()
         assert "gates:" in text
-        assert "ZERO LOSS" in text
+        assert "failover_zero_loss PASS" in text
+        assert "R=2 migration: shed=0" in text
 
     def test_identical_node_counts_rejected(self):
         with pytest.raises(ValueError, match="nodes_before != nodes_after"):
@@ -107,37 +112,24 @@ class TestSweepShape:
 
 
 class TestCli:
-    def test_cli_json_byte_identical(self, tmp_path):
-        paths = [tmp_path / "a.json", tmp_path / "b.json"]
-        for path in paths:
-            code = subprocess.run(
-                [sys.executable, "-m", "repro.cluster.migrate",
-                 "--seed", "7", "--requests", "96",
-                 "--nodes-before", "4", "--nodes-after", "5",
-                 "--step-size", "2", "--json", str(path)],
-                capture_output=True, text=True).returncode
-            assert code == 0
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+    def test_cli_json_byte_identical(self, bench_json_bytes):
+        assert (bench_json_bytes("migrate", 7, hash_seed=0)
+                == bench_json_bytes("migrate", 7, hash_seed=1))
 
-    def test_step_size_flag_narrows_the_sweep(self, tmp_path):
-        path = tmp_path / "single.json"
-        code = subprocess.run(
-            [sys.executable, "-m", "repro.cluster.migrate", "--seed", "7",
-             "--requests", "96", "--step-size", "3",
-             "--json", str(path)],
-            capture_output=True, text=True).returncode
-        assert code == 0
-        payload = json.loads(path.read_text())
-        assert payload["step_sizes"] == [3]
-        assert {c["step_size"] for c in payload["cells"]} == {3}
+    def test_step_size_flag_narrows_the_sweep(self):
+        narrow = run_migration(seed=7, num_requests=96, step_sizes=(3,))
+        assert narrow["gates"]["passed"]
+        assert narrow["step_sizes"] == [3]
+        assert {c["step_size"] for c in narrow["cells"]} == {3}
 
-    def test_main_returns_zero_on_pass(self, capsys):
-        assert main(["--seed", "7", "--requests", "64"]) == 0
-        assert "migration sweep" in capsys.readouterr().out
+    def test_main_honours_topology_flags(self):
+        moved = run_migration(seed=7, num_requests=64, nodes_before=3,
+                              nodes_after=4, step_sizes=(2,))
+        assert moved["gates"]["passed"]
+        assert "3<->4 nodes" in table(moved).title
 
-    def test_main_honours_topology_flags(self, capsys):
-        assert main(["--seed", "7", "--requests", "64",
-                     "--nodes-before", "3", "--nodes-after", "4",
-                     "--step-size", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "3<->4 nodes" in out
+    def test_main_returns_zero_on_pass(self, bench_report, stub_bench,
+                                       capsys):
+        stub_bench("migrate", bench_report("migrate", 7, num_requests=64))
+        assert cli.main(["migrate", "--seed", "7"]) == 0
+        assert "live plan-epoch migration" in capsys.readouterr().out

@@ -1,19 +1,24 @@
 """ClusterSimulator: gates, determinism, and the CLI contract."""
 
 import json
-import subprocess
-import sys
 
 import pytest
 
-from repro.cluster.sim import main, plan_digest, render, run_cluster
+from repro import bench as cli
+from repro.cluster.sim import plan_digest, run_cluster, table
 from repro.data import scaled_spec, TERABYTE_SPEC
 
 SMALL = dict(num_requests=96, rate_rps=2000.0)
 
 
 @pytest.fixture(scope="module")
-def report():
+def report(bench_report):
+    return bench_report("cluster", 7, **SMALL)
+
+
+@pytest.fixture(scope="module")
+def again():
+    """The explicit determinism re-run (same seed, same sizing)."""
     return run_cluster(seed=7, **SMALL)
 
 
@@ -47,8 +52,7 @@ class TestGates:
 
 
 class TestDeterminism:
-    def test_same_seed_same_report(self, report):
-        again = run_cluster(seed=7, **SMALL)
+    def test_same_seed_same_report(self, report, again):
         assert json.dumps(report, sort_keys=True) == \
             json.dumps(again, sort_keys=True)
 
@@ -75,9 +79,10 @@ class TestSweepShape:
         assert cells == {(1, 1), (2, 1), (2, 2), (4, 1), (4, 2)}
 
     def test_render_mentions_gates(self, report):
-        text = render(report)
+        text = table(report).render()
         assert "gates:" in text
-        assert "ZERO LOSS" in text
+        assert "failover_zero_loss PASS" in text
+        assert "(R=2): shed=0" in text
 
     def test_small_spec_single_node_sweep(self):
         spec = scaled_spec(TERABYTE_SPEC, max_rows=50_000)
@@ -88,19 +93,15 @@ class TestSweepShape:
 
 
 class TestCli:
-    def test_cli_json_byte_identical(self, tmp_path):
-        paths = [tmp_path / "a.json", tmp_path / "b.json"]
-        for path in paths:
-            code = subprocess.run(
-                [sys.executable, "-m", "repro.cluster.sim", "--seed", "7",
-                 "--requests", "96", "--json", str(path)],
-                capture_output=True, text=True).returncode
-            assert code == 0
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+    def test_cli_json_byte_identical(self, bench_json_bytes):
+        assert (bench_json_bytes("cluster", 7, hash_seed=0)
+                == bench_json_bytes("cluster", 7, hash_seed=1))
 
-    def test_main_returns_zero_on_pass(self, capsys):
-        assert main(["--seed", "7", "--requests", "64"]) == 0
-        assert "cluster sweep" in capsys.readouterr().out
+    def test_main_returns_zero_on_pass(self, bench_report, stub_bench,
+                                       capsys):
+        stub_bench("cluster", bench_report("cluster", 7, num_requests=64))
+        assert cli.main(["cluster", "--seed", "7"]) == 0
+        assert "sharded oblivious serving" in capsys.readouterr().out
 
 
 class TestPlanDigest:

@@ -70,11 +70,16 @@ class TestRegistryCli:
         assert "table1" in out
         assert "linear scan" in out
 
-    def test_main_unknown_id_raises(self):
-        from repro.experiments.registry import main
+    def test_main_unknown_id_raises(self, capsys):
+        from repro.experiments.registry import list_experiments, main
 
-        with pytest.raises(KeyError):
-            main(["fig99"])
+        with pytest.raises(SystemExit) as caught:
+            main(["table1", "fig99"])
+        assert caught.value.code != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing ran before the id check
+        assert "'fig99'" in captured.err
+        assert ", ".join(list_experiments()) in captured.err
 
 
 class TestDramRowBufferChannel:

@@ -5,6 +5,8 @@ benchmark harness; here each cheap experiment runs once with reduced
 parameters and its core paper claim is asserted.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.experiments.registry import (
     main,
     run_experiment,
 )
+from repro.experiments.reporting import ExperimentResult
 
 ALL_IDS = {"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
            "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "table1",
@@ -33,6 +36,25 @@ class TestRegistry:
         with pytest.raises(KeyError):
             run_experiment("fig99")
 
+    def test_bench_ids_derive_from_the_bench_dict(self, monkeypatch):
+        from repro import bench
+
+        calls = []
+
+        def run(**kwargs):
+            calls.append(kwargs)
+            return {"seed": kwargs["seed"]}
+
+        def table(report):
+            return ExperimentResult("chaos", f"seed={report['seed']}",
+                                    ("a",))
+
+        assert set(bench.BENCHES) <= set(EXPERIMENTS)
+        monkeypatch.setitem(bench.BENCHES, "chaos", (run, table))
+        result = run_experiment("chaos", seed=3, num_requests=8)
+        assert calls == [{"seed": 3, "num_requests": 8}]
+        assert result.title == "seed=3"
+
     def test_runs_tagged_in_telemetry(self):
         from repro.telemetry.runtime import use_registry
 
@@ -47,8 +69,6 @@ class TestRegistry:
 class TestCli:
     def test_json_dump_bundles_results_and_telemetry(self, tmp_path,
                                                      capsys):
-        import json
-
         path = tmp_path / "run.json"
         assert main(["fig2", "--json", str(path)]) == 0
         assert "fig2" in capsys.readouterr().out
@@ -222,7 +242,8 @@ class TestLlmFootprint:
 
 
 class TestCluster:
-    def test_scaling_story_and_gates(self):
+    def test_scaling_story_and_gates(self, bench_report, stub_bench):
+        stub_bench("cluster", bench_report("cluster", 0, num_requests=96))
         result = run_experiment("cluster", num_requests=96)
         capacities = [float(c) for c in result.column("capacity_rps")]
         nodes = [int(n) for n in result.column("nodes")]
@@ -233,7 +254,8 @@ class TestCluster:
 
 
 class TestMigrate:
-    def test_migration_story_and_gates(self):
+    def test_migration_story_and_gates(self, bench_report, stub_bench):
+        stub_bench("migrate", bench_report("migrate", 0, num_requests=96))
         result = run_experiment("migrate", num_requests=96)
         moved = [int(m) for m in result.column("moved")]
         bounds = [int(b) for b in result.column("bound")]
@@ -255,24 +277,26 @@ class TestTable1:
 
 
 class TestLlm:
-    def test_pipeline_story_and_gates(self):
-        result = run_experiment("llm")
-        tok = [int(n) for n in result.column("tok")]
-        dec = [int(n) for n in result.column("dec")]
+    @pytest.fixture(scope="class")
+    def payload(self, tmp_path_factory):
+        """One registry-CLI run of the llm bench, telemetry included."""
+        path = tmp_path_factory.mktemp("llm") / "llm.json"
+        assert main(["llm", "--json", str(path)]) == 0
+        return json.loads(path.read_text())
+
+    def test_pipeline_story_and_gates(self, payload):
+        (result,) = payload["results"]
+        columns = dict(zip(result["headers"], zip(*result["rows"])))
+        tok = [int(n) for n in columns["tok"]]
+        dec = [int(n) for n in columns["dec"]]
         # tokenize starts overprovisioned and sheds a node in the warm-up;
         # decode grows through the ramp; every gate reported PASS
         assert min(tok) < tok[0]
         assert dec[-1] > dec[0]
-        assert "FAIL" not in result.notes
-        assert "hot-load-chasing controller" in result.notes
+        assert "FAIL" not in result["notes"]
+        assert "hot-load-chasing controller" in result["notes"]
 
-    def test_json_includes_per_stage_telemetry(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "llm.json"
-        assert main(["llm", "--json", str(path)]) == 0
-        capsys.readouterr()
-        payload = json.loads(path.read_text())
+    def test_json_includes_per_stage_telemetry(self, payload):
         (result,) = payload["results"]
         assert result["experiment_id"] == "llm"
         assert result["headers"] == ["tick", "rate", "tok", "pre", "dec",

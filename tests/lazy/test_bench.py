@@ -4,12 +4,13 @@ import json
 
 import pytest
 
+from repro import bench as cli
 from repro.lazy import bench
 
 
 @pytest.fixture(scope="module")
-def report():
-    return bench.run_bench(seed=3)
+def report(bench_report):
+    return bench_report("lazy", 3)
 
 
 class TestBenchReport:
@@ -47,12 +48,13 @@ class TestBenchReport:
         assert findings["lazy-dhe-decode"]["leak_detected"] is False
 
     def test_render_mentions_gates(self, report):
-        text = bench.render(report)
+        text = bench.table(report).render()
         assert "gates:" in text and "PASS" in text
 
-    def test_cli_exit_zero_and_json_round_trip(self, tmp_path):
+    def test_cli_exit_zero_and_json_round_trip(self, report, stub_bench,
+                                               tmp_path):
+        stub_bench("lazy", report)
         path = tmp_path / "lazy.json"
-        assert bench.main(["--seed", "3", "--json", str(path),
-                           "--no-timing"]) == 0
+        assert cli.main(["lazy", "--seed", "3", "--json", str(path)]) == 0
         loaded = json.loads(path.read_text())
         assert loaded["gates"]["passed"]

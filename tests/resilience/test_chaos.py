@@ -18,7 +18,7 @@ from repro.resilience import (
     StashPressureFault,
     TransientErrorFault,
 )
-from repro.resilience.chaos import render, run_chaos
+from repro.resilience.chaos import run_chaos, table
 from repro.resilience.degradation import DegradationLadder
 from repro.serving import BatchingPolicy, ExecutionEngine, ServingConfig
 
@@ -117,8 +117,8 @@ class TestResilientExecution:
 
 class TestChaosHarness:
     @pytest.fixture(scope="class")
-    def report(self):
-        return run_chaos(seed=7, num_requests=256)
+    def report(self, bench_report):
+        return bench_report("chaos", 7, num_requests=256)
 
     def test_gates_pass_at_the_pinned_seed(self, report):
         assert report["gates"]["availability"]
@@ -152,6 +152,6 @@ class TestChaosHarness:
         assert schedule != other_storm["fault_schedule"]
 
     def test_render_mentions_every_scenario(self, report):
-        text = render(report)
+        text = table(report).render()
         for scenario in report["scenarios"]:
             assert scenario["name"] in text

@@ -8,6 +8,7 @@ from repro.oblivious.trace import AccessEvent
 from repro.telemetry.audit import (
     AuditSubject,
     LeakageAuditor,
+    LeakageError,
     MODE_EXACT,
     MODE_STRUCTURAL,
     histogram_divergence,
@@ -98,6 +99,30 @@ class TestLeakageAuditor:
         bad = AuditSubject("leaky", run, [[0, 0], [3, 3]])
         assert not auditor.audit(bad).passed
         assert registry.counter("audit.failures_total").value == 1.0
+
+    def test_check_returns_finding_for_oblivious_subject(self):
+        def run(tracer, secret):
+            tracer.record("read", "table", 0)
+
+        auditor = LeakageAuditor(registry=MetricsRegistry())
+        finding = auditor.check(AuditSubject("constant", run, [[0], [3]]))
+        assert finding.passed and not finding.leak_detected
+
+    def test_check_raises_leakage_error_on_leak(self):
+        def run(tracer, secret):
+            for index in secret:
+                tracer.record("read", "table", int(index))
+
+        registry = MetricsRegistry()
+        auditor = LeakageAuditor(registry=registry)
+        with pytest.raises(LeakageError, match="side channel") as caught:
+            auditor.check(AuditSubject("leaky", run, [[0, 0], [3, 3]]))
+        assert isinstance(caught.value, RuntimeError)
+        assert caught.value.subject == "leaky"
+        assert caught.value.divergence == pytest.approx(1.0)
+        assert caught.value.divergence > auditor.divergence_threshold
+        # the failing finding is still counted before the gate raises
+        assert registry.counter("audit.leaks_detected_total").value == 1.0
 
     def test_structural_mode_tolerates_randomised_addresses(self):
         def run(tracer, secret):

@@ -59,16 +59,17 @@ def test_version_string():
 
 
 def test_registry_covers_every_experiment_module():
-    """Every fig/table module under repro.experiments is registered."""
+    """Every fig/table module under repro.experiments and every gated
+    bench is registered."""
     import os
 
     import repro.experiments as experiments_package
+    from repro.bench import BENCHES
     from repro.experiments.registry import EXPERIMENTS
 
     directory = os.path.dirname(experiments_package.__file__)
     modules = [name for name in os.listdir(directory)
-               if name.startswith(("fig", "table", "llm_", "autoscale_",
-                                   "chaos_", "cluster_", "migration_",
-                                   "lazy_", "cache_", "train_"))
+               if name.startswith(("fig", "table", "llm_"))
                and name.endswith(".py")]
-    assert len(modules) == len(EXPERIMENTS)
+    assert len(modules) + len(BENCHES) == len(EXPERIMENTS)
+    assert set(BENCHES) <= set(EXPERIMENTS)

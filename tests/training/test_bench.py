@@ -4,12 +4,13 @@ import json
 
 import pytest
 
+from repro import bench as cli
 from repro.training import bench
 
 
 @pytest.fixture(scope="module")
-def report():
-    return bench.run_bench(seed=0)
+def report(bench_report):
+    return bench_report("train", 0)
 
 
 class TestGates:
@@ -44,18 +45,20 @@ class TestDeterminism:
         assert dump(report) == dump(again)
 
     def test_render_is_deterministic_and_shows_verdicts(self, report):
-        text = bench.render(report)
-        assert text == bench.render(report)
-        assert "loss_decrease=PASS" in text
-        assert "leak_detector_teeth=PASS" in text
+        text = bench.table(report).render()
+        assert text == bench.table(report).render()
+        assert "loss_decrease PASS" in text
+        assert "leak_detector_teeth PASS" in text
         for scheme in bench.SCHEMES:
             assert scheme in text
 
 
 class TestCli:
-    def test_main_exits_zero_and_writes_json(self, tmp_path, capsys):
+    def test_main_exits_zero_and_writes_json(self, report, stub_bench,
+                                             tmp_path, capsys):
+        stub_bench("train", report)
         out = tmp_path / "train.json"
-        code = bench.main(["--seed", "0", "--json", str(out), "--no-timing"])
+        code = cli.main(["train", "--seed", "0", "--json", str(out)])
         assert code == 0
         captured = capsys.readouterr().out
         assert "gates:" in captured
