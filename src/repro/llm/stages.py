@@ -238,9 +238,7 @@ def stage_subjects(spec: LlmServingSpec = LlmServingSpec(),
     def prefill_run(tracer: MemoryTracer, secret: str) -> None:
         # Dense prefill touches every prompt position identically; the
         # schedule records one ordinal per position, never the content.
-        ids = [ord(symbol) % shape.vocab_size for symbol in secret]
-        for ordinal in range(len(ids)):
-            tracer.record(READ, PREFILL_REGION, ordinal)
+        tracer.record_sweep((READ,), PREFILL_REGION, len(secret))
 
     def decode_plan(tracer: Optional[MemoryTracer],
                     memory_tracer: Optional[MemoryTracer],

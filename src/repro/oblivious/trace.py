@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,10 +42,26 @@ class MemoryTracer:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.events: List[AccessEvent] = []
+        # (ops, region, count) -> its events; events are immutable, so every
+        # repeat of a sweep appends the same instances.
+        self._sweeps: Dict[tuple, Tuple[AccessEvent, ...]] = {}
 
     def record(self, op: str, region: str, address: int) -> None:
         if self.enabled:
             self.events.append(AccessEvent(op, region, int(address)))
+
+    def record_sweep(self, ops: Sequence[str], region: str,
+                     count: int) -> None:
+        """Record one event per op in ``ops``, in order, at every address
+        ``0..count-1`` — a full scan in one call. ``ops=(READ, WRITE)``
+        gives the read-modify-write sequence ``R 0, W 0, R 1, W 1, ...``."""
+        if self.enabled:
+            key = (tuple(ops), region, int(count))
+            if key not in self._sweeps:
+                self._sweeps[key] = tuple(
+                    AccessEvent(op, region, address)
+                    for address in range(key[2]) for op in key[0])
+            self.events.extend(self._sweeps[key])
 
     def clear(self) -> None:
         self.events.clear()
@@ -127,8 +143,7 @@ class TracedArray:
     def read_all(self) -> np.ndarray:
         """Sequentially read every row (the linear-scan access pattern)."""
         if self.tracer is not None:
-            for index in range(self.num_rows):
-                self.tracer.record(READ, self.name, index)
+            self.tracer.record_sweep((READ,), self.name, self.num_rows)
         return self.data.copy()
 
 

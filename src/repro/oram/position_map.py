@@ -8,6 +8,7 @@ per level (each recursive block packs 16 leaf labels), as in §V-A1.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -19,9 +20,19 @@ from repro.utils.validation import check_positive
 POSMAP_COMPRESSION = 16
 
 
-def _check_batch(block_ids: Sequence[int],
-                 new_leaves: Sequence[int]) -> List[int]:
-    ids = [int(block_id) for block_id in block_ids]
+def _block_index(block_id: int, num_blocks: int) -> int:
+    """``block_id`` as an int in ``[0, num_blocks)``. A non-integral id
+    raises ``TypeError`` (numpy integers pass) instead of matching no entry
+    or being truncated to a neighbour."""
+    block_id = operator.index(block_id)
+    if not 0 <= block_id < num_blocks:
+        raise IndexError(f"block {block_id} out of range")
+    return block_id
+
+
+def _check_batch(block_ids: Sequence[int], new_leaves: Sequence[int],
+                 num_blocks: int) -> List[int]:
+    ids = [_block_index(block_id, num_blocks) for block_id in block_ids]
     if len(ids) != len(new_leaves):
         raise ValueError(
             f"{len(ids)} block ids but {len(new_leaves)} new leaves")
@@ -59,7 +70,7 @@ class PositionMap:
         ``pad_to`` lookups so the map traffic depends only on the public
         batch size, never on how many ids were distinct.
         """
-        ids = _check_batch(block_ids, new_leaves)
+        ids = _check_batch(block_ids, new_leaves, self.num_blocks)
         old = [self.lookup_and_update(block_id, int(leaf))
                for block_id, leaf in zip(ids, new_leaves)]
         for _ in range(max(0, pad_to - len(ids))):
@@ -71,8 +82,10 @@ class FlatPositionMap(PositionMap):
     """Leaf array protected by an oblivious full scan per lookup.
 
     Every lookup reads *and rewrites* all entries, blending the update in
-    with a branch-free mask, so the touched addresses never depend on the
-    queried block id.
+    with a branch-free whole-array mask (``ct_eq`` against every index,
+    then ``ct_select``), so the touched addresses never depend on the
+    queried block id. The trace records the scan as ``R i, W i`` for each
+    entry ``i`` in order.
     """
 
     def __init__(self, initial_leaves: np.ndarray,
@@ -81,57 +94,36 @@ class FlatPositionMap(PositionMap):
         self.leaves = np.asarray(initial_leaves, dtype=np.int64).copy()
         check_positive("num_blocks", self.leaves.size)
         self.num_blocks = self.leaves.size
+        self._indices = np.arange(self.num_blocks, dtype=np.int64)
         self.tracer = tracer
         self.region = region
         self.ops = 0
 
-    def lookup_and_update(self, block_id: int, new_leaf: int) -> int:
-        if not 0 <= block_id < self.num_blocks:
-            raise IndexError(f"block {block_id} out of range")
-        old_leaf = 0
-        for index in range(self.num_blocks):
-            if self.tracer is not None:
-                self.tracer.record(READ, self.region, index)
-            match = ct_eq(index, block_id)
-            old_leaf = ct_select(match, int(self.leaves[index]), old_leaf)
-            updated = ct_select(match, new_leaf, int(self.leaves[index]))
-            if self.tracer is not None:
-                self.tracer.record(WRITE, self.region, index)
-            self.leaves[index] = updated
+    def _scan(self, block_id: int) -> np.ndarray:
+        """One full read+rewrite scan; returns the 0/1 mask of ``block_id``."""
+        block_id = _block_index(block_id, self.num_blocks)
+        if self.tracer is not None:
+            self.tracer.record_sweep((READ, WRITE), self.region,
+                                     self.num_blocks)
         self.ops += 2 * self.num_blocks
-        return int(old_leaf)
+        return ct_eq(self._indices, block_id)
+
+    def lookup_and_update(self, block_id: int, new_leaf: int) -> int:
+        match = self._scan(block_id)
+        old_leaf = int(ct_select(match, self.leaves, 0).sum())
+        self.leaves[:] = ct_select(match, new_leaf, self.leaves)
+        return old_leaf
 
     def refresh(self, block_id: int) -> None:
         """Dummy lookup: the same full read+rewrite scan, values unchanged."""
-        if not 0 <= block_id < self.num_blocks:
-            raise IndexError(f"block {block_id} out of range")
-        for index in range(self.num_blocks):
-            if self.tracer is not None:
-                self.tracer.record(READ, self.region, index)
-            entry = int(self.leaves[index])
-            if self.tracer is not None:
-                self.tracer.record(WRITE, self.region, index)
-            self.leaves[index] = entry
-        self.ops += 2 * self.num_blocks
+        self._scan(block_id)
 
     def lookup(self, block_id: int) -> int:
         """Read a block's entry without changing it — same full R+W scan
         trace as :meth:`lookup_and_update`, so a scheme whose positions
         only change at shuffle time (square-root ORAM) stays trace-
         indistinguishable from one that remaps per access."""
-        if not 0 <= block_id < self.num_blocks:
-            raise IndexError(f"block {block_id} out of range")
-        value = 0
-        for index in range(self.num_blocks):
-            if self.tracer is not None:
-                self.tracer.record(READ, self.region, index)
-            entry = int(self.leaves[index])
-            value = ct_select(ct_eq(index, block_id), entry, value)
-            if self.tracer is not None:
-                self.tracer.record(WRITE, self.region, index)
-            self.leaves[index] = entry
-        self.ops += 2 * self.num_blocks
-        return int(value)
+        return int(ct_select(self._scan(block_id), self.leaves, 0).sum())
 
     def rewrite(self, new_leaves: np.ndarray) -> None:
         """Install a whole new mapping in one data-independent write sweep
@@ -141,10 +133,9 @@ class FlatPositionMap(PositionMap):
             raise ValueError(
                 f"rewrite needs {self.num_blocks} entries, "
                 f"got shape {new_leaves.shape}")
-        for index in range(self.num_blocks):
-            if self.tracer is not None:
-                self.tracer.record(WRITE, self.region, index)
-            self.leaves[index] = int(new_leaves[index])
+        if self.tracer is not None:
+            self.tracer.record_sweep((WRITE,), self.region, self.num_blocks)
+        self.leaves[:] = new_leaves
         self.ops += self.num_blocks
 
     def work_ops(self) -> int:
@@ -159,28 +150,24 @@ class FlatPositionMap(PositionMap):
         ids are queried, so a batch of B lookups costs ``2 * num_blocks``
         entry touches instead of ``2 * num_blocks * B`` — and the scan is
         already count-independent, so ``pad_to`` needs no extra traffic.
+        The ids are unique, so blending one query's mask at a time into
+        the updated array is exact and keeps memory at O(num_blocks).
         """
         del pad_to
-        ids = _check_batch(block_ids, new_leaves)
-        for block_id in ids:
-            if not 0 <= block_id < self.num_blocks:
-                raise IndexError(f"block {block_id} out of range")
+        ids = _check_batch(block_ids, new_leaves, self.num_blocks)
         targets = [int(leaf) for leaf in new_leaves]
-        old = [0] * len(ids)
-        for index in range(self.num_blocks):
-            if self.tracer is not None:
-                self.tracer.record(READ, self.region, index)
-            entry = int(self.leaves[index])
-            updated = entry
-            for query, (block_id, target) in enumerate(zip(ids, targets)):
-                match = ct_eq(index, block_id)
-                old[query] = ct_select(match, entry, old[query])
-                updated = ct_select(match, target, updated)
-            if self.tracer is not None:
-                self.tracer.record(WRITE, self.region, index)
-            self.leaves[index] = updated
+        if self.tracer is not None:
+            self.tracer.record_sweep((READ, WRITE), self.region,
+                                     self.num_blocks)
         self.ops += 2 * self.num_blocks
-        return [int(leaf) for leaf in old]
+        old = []
+        updated = self.leaves.copy()
+        for block_id, target in zip(ids, targets):
+            match = ct_eq(self._indices, block_id)
+            old.append(int(ct_select(match, self.leaves, 0).sum()))
+            updated = ct_select(match, target, updated)
+        self.leaves[:] = updated
+        return old
 
 
 class OramPositionMap(PositionMap):
@@ -200,6 +187,7 @@ class OramPositionMap(PositionMap):
         check_positive("compression", compression)
         self.num_blocks = initial_leaves.size
         self.compression = compression
+        self._lanes = np.arange(compression, dtype=np.int64)
 
         num_chunks = (self.num_blocks + compression - 1) // compression
         chunks = np.zeros((num_chunks, compression), dtype=np.float64)
@@ -207,29 +195,22 @@ class OramPositionMap(PositionMap):
         self._child = oram_factory(num_chunks, compression, chunks)
 
     def lookup_and_update(self, block_id: int, new_leaf: int) -> int:
-        if not 0 <= block_id < self.num_blocks:
-            raise IndexError(f"block {block_id} out of range")
+        block_id = _block_index(block_id, self.num_blocks)
         chunk_id, offset = divmod(block_id, self.compression)
         captured = {}
 
         def update(chunk: np.ndarray) -> np.ndarray:
-            # Oblivious in-chunk select/update: every lane participates.
-            old_leaf = 0
-            updated = chunk.copy()
-            for lane in range(self.compression):
-                match = ct_eq(lane, offset)
-                old_leaf = ct_select(match, int(chunk[lane]), old_leaf)
-                updated[lane] = ct_select(match, float(new_leaf), float(chunk[lane]))
-            captured["old_leaf"] = int(old_leaf)
-            return updated
+            # Oblivious in-chunk select/update: one mask over every lane.
+            match = ct_eq(self._lanes, offset)
+            captured["old_leaf"] = int(ct_select(match, chunk, 0).sum())
+            return ct_select(match, float(new_leaf), chunk)
 
         self._child.access(chunk_id, update)
         return captured["old_leaf"]
 
     def refresh(self, block_id: int) -> None:
         """Dummy lookup: one child-ORAM access with an identity update."""
-        if not 0 <= block_id < self.num_blocks:
-            raise IndexError(f"block {block_id} out of range")
+        block_id = _block_index(block_id, self.num_blocks)
         chunk_id, _ = divmod(block_id, self.compression)
         self._child.access(chunk_id, lambda chunk: chunk)
 

@@ -186,9 +186,8 @@ class SqrtORAM(OramController):
         """
         total = self.num_blocks + self.num_dummies
         contents = np.zeros((self.num_blocks, self.block_width))
-        for slot in range(total):
-            if self.tracer is not None:
-                self.tracer.record(READ, self.store_region, slot)
+        if self.tracer is not None:
+            self.tracer.record_sweep((READ,), self.store_region, total)
         self.stats.bucket_reads += total
         contents[:] = self._store[self._perm[:self.num_blocks]]
         for block_id, _leaf, payload in self.stash.evict_matching(
@@ -197,9 +196,8 @@ class SqrtORAM(OramController):
         self._perm = self.rng.permutation(total).astype(np.int64)
         new_store = np.zeros_like(self._store)
         new_store[self._perm[:self.num_blocks]] = contents
-        for slot in range(total):
-            if self.tracer is not None:
-                self.tracer.record(WRITE, self.store_region, slot)
+        if self.tracer is not None:
+            self.tracer.record_sweep((WRITE,), self.store_region, total)
         self.stats.bucket_writes += total
         self._store = new_store
         self.position_map.rewrite(self._perm[:self.num_blocks])

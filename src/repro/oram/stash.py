@@ -39,8 +39,7 @@ class Stash:
 
     def _scan_trace(self, op: str) -> None:
         if self.tracer is not None:
-            for slot in range(self.capacity):
-                self.tracer.record(op, self.region, slot)
+            self.tracer.record_sweep((op,), self.region, self.capacity)
 
     @property
     def occupancy(self) -> int:

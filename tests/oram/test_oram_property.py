@@ -39,19 +39,19 @@ def run_model_check(oram_class, ops, seed):
 
 
 @given(ops=operations, seed=st.integers(0, 2**16))
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=50, deadline=None)
 def test_path_oram_is_a_kv_store(ops, seed):
     run_model_check(PathORAM, ops, seed)
 
 
 @given(ops=operations, seed=st.integers(0, 2**16))
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=50, deadline=None)
 def test_circuit_oram_is_a_kv_store(ops, seed):
     run_model_check(CircuitORAM, ops, seed)
 
 
 @given(seed=st.integers(0, 2**16))
-@settings(max_examples=5, deadline=None)
+@settings(max_examples=15, deadline=None)
 def test_recursive_circuit_oram_is_a_kv_store(seed):
     rng = np.random.default_rng(seed)
     data = rng.normal(size=(100, WIDTH))

@@ -37,6 +37,29 @@ class TestFlatPositionMap:
         with pytest.raises(IndexError):
             FlatPositionMap(np.arange(3)).lookup_and_update(3, 0)
 
+    @pytest.mark.parametrize("block_id", [2.5, 1.5, 1.0, np.float64(2.0)])
+    def test_non_integral_id_rejected(self, block_id):
+        posmap = FlatPositionMap(np.array([5, 6, 7, 8]))
+        calls = [lambda: posmap.lookup_and_update(block_id, 99),
+                 lambda: posmap.lookup(block_id),
+                 lambda: posmap.refresh(block_id),
+                 lambda: posmap.lookup_and_update_batch([block_id], [3]),
+                 lambda: posmap.lookup_and_update_batch([0, block_id],
+                                                        [3, 4])]
+        for call in calls:
+            with pytest.raises(TypeError, match="integer"):
+                call()
+        np.testing.assert_array_equal(posmap.leaves, [5, 6, 7, 8])
+        assert posmap.work_ops() == 0
+
+    def test_numpy_integer_ids_accepted(self):
+        posmap = FlatPositionMap(np.array([5, 6, 7, 8]))
+        assert posmap.lookup_and_update(np.int64(2), 99) == 7
+        assert posmap.lookup(np.int32(2)) == 99
+        assert posmap.lookup_and_update_batch(
+            np.array([1, 3]), [0, 1]) == [6, 8]
+        np.testing.assert_array_equal(posmap.leaves, [5, 0, 99, 1])
+
 
 class TestOramPositionMap:
     def _factory(self, num_blocks, width, payloads):
@@ -65,3 +88,13 @@ class TestOramPositionMap:
         posmap = OramPositionMap(np.arange(18), self._factory)
         with pytest.raises(IndexError):
             posmap.lookup_and_update(18, 0)
+
+    def test_non_integral_id_rejected(self):
+        posmap = OramPositionMap(np.arange(18), self._factory)
+        for call in (lambda: posmap.lookup_and_update(2.5, 1),
+                     lambda: posmap.refresh(1.5),
+                     lambda: posmap.lookup_and_update_batch([1.5], [3])):
+            with pytest.raises(TypeError, match="integer"):
+                call()
+        assert posmap.lookup_and_update(np.int64(1), 5) == 1
+        assert posmap.lookup_and_update(1, 0) == 5
