@@ -23,18 +23,21 @@ from repro.embedding.base import EmbeddingGenerator
 from repro.nn.tensor import Tensor
 from repro.oblivious.trace import MemoryTracer
 from repro.oram.circuit_oram import CircuitORAM
-from repro.oram.controller import OramController
+from repro.oram.controller import OramController, payload_table
 from repro.oram.path_oram import PathORAM
 from repro.oram.ring_oram import RingORAM
 from repro.utils.rng import SeedLike
 
 
 class _OramEmbeddingBase(EmbeddingGenerator):
-    """Shared machinery for the Path/Circuit ORAM embedding generators."""
+    """Shared machinery for the ORAM embedding generators.
+
+    The cost-model scheme is the ORAM controller's own ``scheme``, so a
+    subclass of a controller is priced as the scheme it subclasses.
+    """
 
     is_oblivious = True
     oram_class: Type[OramController] = OramController
-    scheme: str = "abstract"
 
     def __init__(self, num_embeddings: int, embedding_dim: int,
                  weight: Optional[np.ndarray] = None,
@@ -42,12 +45,7 @@ class _OramEmbeddingBase(EmbeddingGenerator):
                  tracer: Optional[MemoryTracer] = None,
                  **oram_kwargs) -> None:
         super().__init__(num_embeddings, embedding_dim)
-        if weight is None:
-            weight = np.zeros((num_embeddings, embedding_dim))
-        weight = np.asarray(weight, dtype=np.float64)
-        if weight.shape != (num_embeddings, embedding_dim):
-            raise ValueError(
-                f"weight shape {weight.shape} != ({num_embeddings}, {embedding_dim})")
+        weight = payload_table(weight, num_embeddings, embedding_dim, "weight")
         self.oram = self.oram_class(num_embeddings, embedding_dim,
                                     initial_payloads=weight, rng=rng,
                                     tracer=tracer, **oram_kwargs)
@@ -58,6 +56,10 @@ class _OramEmbeddingBase(EmbeddingGenerator):
         rows = np.stack([self.oram.read(int(index)) for index in flat]) \
             if flat.size else np.zeros((0, self.embedding_dim))
         return Tensor(rows.reshape(*indices.shape, self.embedding_dim))
+
+    @property
+    def scheme(self) -> str:
+        return self.oram.scheme
 
     def load_weights(self, weight: np.ndarray) -> None:
         """Refresh all rows (e.g. after retraining the table offline)."""
@@ -78,7 +80,6 @@ class PathOramEmbedding(_OramEmbeddingBase):
 
     technique = "path-oram"
     oram_class = PathORAM
-    scheme = "path"
 
 
 class CircuitOramEmbedding(_OramEmbeddingBase):
@@ -86,7 +87,6 @@ class CircuitOramEmbedding(_OramEmbeddingBase):
 
     technique = "circuit-oram"
     oram_class = CircuitORAM
-    scheme = "circuit"
 
 
 class RingOramEmbedding(_OramEmbeddingBase):
@@ -94,4 +94,3 @@ class RingOramEmbedding(_OramEmbeddingBase):
 
     technique = "ring-oram"
     oram_class = RingORAM
-    scheme = "ring"

@@ -11,7 +11,7 @@ Differences from Path ORAM that the paper leans on:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -22,68 +22,36 @@ from repro.oram.tree import DUMMY
 _NONE = -10**9  # sentinel for "no level" in the eviction metadata passes
 
 
-def bit_reverse(value: int, bits: int) -> int:
-    """Reverse the low ``bits`` bits of ``value`` (reverse-lex eviction order)."""
-    result = 0
-    for _ in range(bits):
-        result = (result << 1) | (value & 1)
-        value >>= 1
-    return result
-
-
 class CircuitORAM(OramController):
-    """Tree ORAM with single-block reads and two-pass linear eviction."""
+    """Tree ORAM with single-block reads and two-pass linear eviction.
 
+    Recovery from stash pressure runs extra passes of the same
+    deterministic eviction schedule (the base class's
+    ``_background_evict_pass``): eviction is metadata-driven and moves at
+    most one block per level.
+    """
+
+    scheme = "circuit"
     DEFAULT_STASH = 10            # paper: stash size 10 for Circuit ORAM
     DEFAULT_RECURSION_CUTOFF = 1 << 12  # paper: recursion beyond 2^12 blocks
     SUPPORTS_LOOKAHEAD = True
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._eviction_counter = 0
-
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    def _access_impl(self, block_id: int, old_leaf: int, new_leaf: int,
-                     update_fn: Optional[UpdateFn]) -> np.ndarray:
+    def _access_impl(self, block_id: int, update_fn: Optional[UpdateFn]
+                     ) -> Tuple[np.ndarray, Optional[Exception]]:
+        old_leaf, new_leaf = self._remap(block_id)
         payload = self._read_and_remove(block_id, old_leaf)
-        result = payload.copy()
-        if update_fn is not None:
-            payload = np.asarray(update_fn(payload), dtype=np.float64)
-        self.stash.add(block_id, new_leaf, payload)
+        updated, error = self._updated(payload, update_fn)
+        self.stash.add(block_id, new_leaf, updated)
 
         # Two deterministic evictions per access (reverse-lexicographic).
         for _ in range(2):
             self._deterministic_evict_pass()
 
         self._check_stash_bound()
-        return result
-
-    def _next_eviction_leaf(self) -> int:
-        """Advance the deterministic reverse-lexicographic eviction order."""
-        leaf = bit_reverse(self._eviction_counter % self.tree.num_leaves
-                           if self.tree.num_leaves > 1 else 0,
-                           self.tree.levels)
-        self._eviction_counter += 1
-        return leaf
-
-    def _deterministic_evict_pass(self) -> None:
-        """One reverse-lexicographic eviction pass (the per-access schedule)."""
-        self._evict_once(self._next_eviction_leaf())
-        self.stats.eviction_passes += 1
-
-    def _background_evict_pass(self, leaf: int) -> None:
-        """Request-free stash drain: continue the reverse-lex schedule.
-
-        Circuit ORAM's eviction is metadata-driven and moves at most one
-        block per level, so recovery from stash pressure simply runs extra
-        passes of the same deterministic schedule (``leaf`` is ignored —
-        the schedule, not randomness, picks the path; the base class does
-        the ``eviction_passes`` accounting).
-        """
-        del leaf
-        self._evict_once(self._next_eviction_leaf())
+        return payload, error
 
     def _read_and_remove(self, block_id: int, old_leaf: int) -> np.ndarray:
         """Sweep the read path once, extracting the requested block.
@@ -156,7 +124,7 @@ class CircuitORAM(OramController):
         """Deepest tree level where a block with ``block_leaf`` may live."""
         return self.tree.common_depth(block_leaf, eviction_leaf)
 
-    def _evict_once(self, eviction_leaf: int) -> None:
+    def _evict_path(self, eviction_leaf: int) -> None:
         path = self.tree.path_indices(eviction_leaf)
         depth_levels = len(path)            # tree levels 0..L
         total = depth_levels + 1            # +1: index 0 is the stash

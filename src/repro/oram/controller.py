@@ -1,27 +1,63 @@
-"""Shared controller machinery for the tree-based ORAMs (§IV-A2).
+"""The access contract shared by every ORAM scheme (§IV-A2).
 
-Both Path ORAM and Circuit ORAM subclass :class:`OramController`, which owns
-the bucket tree, the stash, the (possibly recursive) position map, access
-statistics, and the public ``read``/``write``/``access`` API. Subclasses
-implement :meth:`_access_impl`.
+Path, Circuit, Ring and square-root ORAM all subclass
+:class:`OramController`, which owns the stash, the (possibly recursive)
+position map, access statistics and the public ``read``/``write``/
+``access``/``access_batch`` API, and writes each step the schemes share
+once: the leaf remap, the ``update_fn`` step, the batch parser, the
+reverse-lexicographic eviction schedule, the payload-table check and the
+per-access telemetry flush. Tree schemes also get the bucket tree.
+Subclasses implement :meth:`_access_impl`.
+
+The ``update_fn`` contract: it runs on a copy of the block's payload and
+must return a ``(block_width,)`` row of floats. If it raises or returns
+anything else, the block keeps its old payload, the access finishes with
+the trace a successful access makes, and the error is raised afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.oblivious.trace import MemoryTracer
+from repro.oblivious.trace import READ, MemoryTracer
 from repro.oram.position_map import FlatPositionMap, OramPositionMap, PositionMap
 from repro.oram.stash import Stash, StashOverflowError
-from repro.oram.tree import BucketTree
+from repro.oram.tree import BucketTree, bit_reverse
 from repro.telemetry.runtime import get_registry
 from repro.utils.rng import SeedLike, new_rng
 from repro.utils.validation import check_positive
 
 UpdateFn = Callable[[np.ndarray], np.ndarray]
+
+
+def payload_table(payloads: Optional[np.ndarray], num_blocks: int,
+                  block_width: int, name: str = "payload") -> np.ndarray:
+    """``payloads`` as a float64 ``(num_blocks, block_width)`` table.
+
+    ``None`` gives zeros; any other shape raises ValueError.
+    """
+    if payloads is None:
+        return np.zeros((num_blocks, block_width))
+    payloads = np.asarray(payloads, dtype=np.float64)
+    if payloads.shape != (num_blocks, block_width):
+        raise ValueError(
+            f"{name} shape {payloads.shape} != ({num_blocks}, {block_width})")
+    return payloads
+
+
+def parse_batch(block_ids, update_fns: Optional[Sequence[Optional[UpdateFn]]]
+                ) -> Tuple[List[int], List[Optional[UpdateFn]]]:
+    """A batch request as ``(ids, fns)``: one update fn (or None) per id."""
+    ids = [int(block_id) for block_id in block_ids]
+    if update_fns is None:
+        return ids, [None] * len(ids)
+    fns = list(update_fns)
+    if len(fns) != len(ids):
+        raise ValueError(f"{len(ids)} block ids but {len(fns)} update fns")
+    return ids, fns
 
 
 @dataclass
@@ -34,6 +70,10 @@ class AccessStats:
     eviction_passes: int = 0
     stash_overflows: int = 0
     revealed_leaves: list = field(default_factory=list)
+
+    def work(self) -> Tuple[int, int, int]:
+        """(bucket reads, bucket writes, eviction passes) so far."""
+        return self.bucket_reads, self.bucket_writes, self.eviction_passes
 
     def blocks_touched(self, bucket_size: int) -> int:
         return (self.bucket_reads + self.bucket_writes) * bucket_size
@@ -50,6 +90,8 @@ class AccessStats:
 class OramController:
     """Base class: tree + stash + position map + statistics."""
 
+    #: cost-model scheme name (``repro.costmodel``); subclasses inherit it
+    scheme = "abstract"
     #: subclass-specific defaults (paper §V-A1 / ZeroTrace configuration)
     DEFAULT_STASH = 150
     DEFAULT_RECURSION_CUTOFF = 1 << 16
@@ -90,6 +132,8 @@ class OramController:
         self.recursion_cutoff = (recursion_cutoff if recursion_cutoff is not None
                                  else self.DEFAULT_RECURSION_CUTOFF)
         self._recursion_level = _recursion_level
+        #: position in the reverse-lexicographic eviction schedule
+        self._eviction_counter = 0
 
         prefix = region_prefix or self.__class__.__name__.lower()
         sized_blocks = (num_blocks + pack_factor - 1) // pack_factor
@@ -130,27 +174,23 @@ class OramController:
 
         return OramPositionMap(initial_leaves, factory)
 
+    #: slots per bucket that take real blocks at initial placement
+    #: (None: all; Ring ORAM keeps its dummy slots free)
+    _initial_slots: Optional[int] = None
+
     def _load(self, payloads: Optional[np.ndarray],
               leaves: np.ndarray) -> None:
-        if payloads is None:
-            payloads = np.zeros((self.num_blocks, self.block_width))
-        payloads = np.asarray(payloads, dtype=np.float64)
-        if payloads.shape != (self.num_blocks, self.block_width):
-            raise ValueError(
-                f"initial payloads shape {payloads.shape} != "
-                f"({self.num_blocks}, {self.block_width})")
+        payloads = payload_table(payloads, self.num_blocks, self.block_width,
+                                 "initial payloads")
         for block_id in range(self.num_blocks):
             leaf = int(leaves[block_id])
-            if not self.tree.place_initial(block_id, leaf, payloads[block_id]):
+            if not self.tree.place_initial(block_id, leaf, payloads[block_id],
+                                           self._initial_slots):
                 self.stash.add(block_id, leaf, payloads[block_id])
 
     def load_blocks(self, payloads: np.ndarray) -> None:
         """Bulk-overwrite all block payloads (offline, data-independent)."""
-        payloads = np.asarray(payloads, dtype=np.float64)
-        if payloads.shape != (self.num_blocks, self.block_width):
-            raise ValueError(
-                f"payload shape {payloads.shape} != "
-                f"({self.num_blocks}, {self.block_width})")
+        payloads = payload_table(payloads, self.num_blocks, self.block_width)
         for block_id in range(self.num_blocks):
             self.write(block_id, payloads[block_id])
 
@@ -166,33 +206,69 @@ class OramController:
             raise IndexError(
                 f"block {block_id} out of range for ORAM of {self.num_blocks} blocks")
         registry = get_registry()
-        reads_before = self.stats.bucket_reads
-        writes_before = self.stats.bucket_writes
-        evictions_before = self.stats.eviction_passes
+        before = self.stats.work()
         try:
             with registry.span("oram.access", scheme=type(self).__name__,
                                level=self._recursion_level):
-                new_leaf = int(self.rng.integers(0, self.tree.num_leaves))
-                old_leaf = self.position_map.lookup_and_update(block_id, new_leaf)
-                self.stats.accesses += 1
-                self.stats.revealed_leaves.append(old_leaf)
-                result = self._access_impl(block_id, old_leaf, new_leaf,
-                                           update_fn)
+                result, error = self._access_impl(block_id, update_fn)
+                if error is not None:
+                    raise error
         finally:
-            # Flush work counters and stash gauges even when the access
-            # raises (e.g. StashOverflowError) so monitoring sees the state
-            # that caused the failure, not the state before it.
-            registry.counter("oram.accesses_total").inc()
-            registry.counter("oram.bucket_reads_total").inc(
-                self.stats.bucket_reads - reads_before)
-            registry.counter("oram.bucket_writes_total").inc(
-                self.stats.bucket_writes - writes_before)
-            registry.counter("oram.eviction_passes_total").inc(
-                self.stats.eviction_passes - evictions_before)
-            registry.gauge("oram.stash_occupancy").set(self.stash.occupancy)
-            registry.gauge("oram.stash_peak_occupancy").set_max(
-                self.stash.peak_occupancy)
+            self._flush_telemetry(registry, 1, before)
         return result
+
+    def _flush_telemetry(self, registry, accesses: int,
+                         before: Tuple[int, int, int]) -> None:
+        """Report the work done since ``before`` (an ``AccessStats.work()``).
+
+        Callers flush from a ``finally`` so that a failed access (e.g.
+        StashOverflowError) reports the state that caused the failure, not
+        the state before it.
+        """
+        reads, writes, evictions = before
+        registry.counter("oram.accesses_total").inc(accesses)
+        registry.counter("oram.bucket_reads_total").inc(
+            self.stats.bucket_reads - reads)
+        registry.counter("oram.bucket_writes_total").inc(
+            self.stats.bucket_writes - writes)
+        registry.counter("oram.eviction_passes_total").inc(
+            self.stats.eviction_passes - evictions)
+        registry.gauge("oram.stash_occupancy").set(self.stash.occupancy)
+        registry.gauge("oram.stash_peak_occupancy").set_max(
+            self.stash.peak_occupancy)
+
+    def _remap(self, block_id: int) -> Tuple[int, int]:
+        """Draw ``block_id``'s fresh leaf and swap it into the position map.
+
+        Returns ``(old_leaf, new_leaf)`` — the tree schemes' first step.
+        """
+        new_leaf = int(self.rng.integers(0, self.tree.num_leaves))
+        old_leaf = self.position_map.lookup_and_update(block_id, new_leaf)
+        self.stats.accesses += 1
+        self.stats.revealed_leaves.append(old_leaf)
+        return old_leaf, new_leaf
+
+    def _updated(self, payload: np.ndarray, update_fn: Optional[UpdateFn]
+                 ) -> Tuple[np.ndarray, Optional[Exception]]:
+        """The update step: ``(new payload, error)``.
+
+        ``update_fn`` runs on a copy of ``payload``. If it raises or its
+        result is not a ``(block_width,)`` float row, the old payload comes
+        back with the error, which the caller raises (traceback intact)
+        once the access has finished. Any exception is caught because the
+        fn is caller code and the access must finish either way.
+        """
+        if update_fn is None:
+            return payload, None
+        try:
+            row = np.asarray(update_fn(payload.copy()), dtype=np.float64)
+            if row.shape != (self.block_width,):
+                raise ValueError(
+                    f"update_fn returned shape {row.shape} != "
+                    f"({self.block_width},)")
+        except Exception as error:
+            return payload, error
+        return row, None
 
     def access_batch(self, block_ids, update_fns=None,
                      plan_tracer: Optional[MemoryTracer] = None
@@ -213,21 +289,16 @@ class OramController:
         if self.SUPPORTS_LOOKAHEAD:
             return lookahead.lookahead_access_batch(
                 self, block_ids, update_fns, plan_tracer)
-        ids = list(block_ids)
-        if update_fns is None:
-            update_fns = [None] * len(ids)
-        elif len(update_fns) != len(ids):
-            raise ValueError(
-                f"{len(ids)} block ids but {len(update_fns)} update fns")
+        ids, fns = parse_batch(block_ids, update_fns)
         if not ids:
             return np.zeros((0, self.block_width))
         tracer = plan_tracer if plan_tracer is not None else self.tracer
         results = []
         for slot, block_id in enumerate(ids):
             if tracer is not None:
-                tracer.record("R", lookahead.LOOKAHEAD_REGION,
+                tracer.record(READ, lookahead.LOOKAHEAD_REGION,
                               lookahead.ADDR_FETCH + slot)
-            results.append(self.access(int(block_id), update_fns[slot]))
+            results.append(self.access(block_id, fns[slot]))
         return np.stack(results)
 
     def position_map_ops(self) -> int:
@@ -292,14 +363,41 @@ class OramController:
         return self.stash.occupancy
 
     def _background_evict_pass(self, leaf: int) -> None:
-        """One request-free eviction pass along the path to ``leaf``."""
+        """One request-free eviction pass along the path to ``leaf``.
+
+        By default this continues the reverse-lexicographic schedule
+        (Circuit, Ring): ``leaf`` is ignored — the schedule, not
+        randomness, picks the path, and :meth:`background_evict` does the
+        ``eviction_passes`` accounting.
+        """
+        del leaf
+        self._evict_path(self._next_eviction_leaf())
+
+    # ------------------------------------------------------------------
+    # Reverse-lexicographic eviction schedule (Circuit, Ring)
+    # ------------------------------------------------------------------
+    def _next_eviction_leaf(self) -> int:
+        """Advance the deterministic reverse-lexicographic eviction order."""
+        leaf = bit_reverse(self._eviction_counter % self.tree.num_leaves,
+                           self.tree.levels)
+        self._eviction_counter += 1
+        return leaf
+
+    def _deterministic_evict_pass(self) -> None:
+        """One pass of the per-access reverse-lexicographic schedule."""
+        self._evict_path(self._next_eviction_leaf())
+        self.stats.eviction_passes += 1
+
+    def _evict_path(self, leaf: int) -> None:
+        """The scheme's eviction along the path to ``leaf``."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Subclass hook
     # ------------------------------------------------------------------
-    def _access_impl(self, block_id: int, old_leaf: int, new_leaf: int,
-                     update_fn: Optional[UpdateFn]) -> np.ndarray:
+    def _access_impl(self, block_id: int, update_fn: Optional[UpdateFn]
+                     ) -> Tuple[np.ndarray, Optional[Exception]]:
+        """Serve one access: ``(pre-update payload, update error)``."""
         raise NotImplementedError
 
     # Batched lookahead hooks (schemes with SUPPORTS_LOOKAHEAD implement

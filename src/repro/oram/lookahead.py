@@ -45,14 +45,13 @@ order — slot ``j`` sees the value after every earlier same-id slot's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.oblivious.trace import READ, WRITE, MemoryTracer
+from repro.oram.controller import UpdateFn, parse_batch
 from repro.telemetry.runtime import get_registry
-
-UpdateFn = Callable[[np.ndarray], np.ndarray]
 
 #: decision-trace region of every batched access
 LOOKAHEAD_REGION = "oram.lookahead"
@@ -169,22 +168,13 @@ def lookahead_access_batch(oram, block_ids: Sequence[int],
     ``oram.lookahead`` decision trace is recorded (default: the
     controller's own tracer).
     """
-    ids = list(block_ids)
+    ids, fns = parse_batch(block_ids, update_fns)
     batch = len(ids)
-    if update_fns is None:
-        fns: List[Optional[UpdateFn]] = [None] * batch
-    else:
-        fns = list(update_fns)
-        if len(fns) != batch:
-            raise ValueError(
-                f"{batch} block ids but {len(fns)} update fns")
     if batch == 0:
         return np.zeros((0, oram.block_width))
     tracer = plan_tracer if plan_tracer is not None else oram.tracer
     registry = get_registry()
-    reads_before = oram.stats.bucket_reads
-    writes_before = oram.stats.bucket_writes
-    evictions_before = oram.stats.eviction_passes
+    before = oram.stats.work()
     try:
         with registry.span("oram.access_batch", scheme=type(oram).__name__,
                            batch=batch):
@@ -200,26 +190,19 @@ def lookahead_access_batch(oram, block_ids: Sequence[int],
                 _record(tracer, READ, ADDR_FETCH + ordinal)
             oram._lookahead_reserve(plan)
             oram._lookahead_fetch(plan)
-            results = _serve_batch(oram, plan, fns, tracer)
+            results, error = _serve_batch(oram, plan, fns, tracer)
             writeback_units = oram._lookahead_writeback(plan)
             for ordinal in range(writeback_units):
                 _record(tracer, WRITE, ADDR_WRITEBACK + ordinal)
             oram.stats.accesses += batch
             oram.stats.revealed_leaves.extend(plan.old_leaves)
             oram._check_stash_bound()
+            if error is not None:
+                raise error
     finally:
-        registry.counter("oram.accesses_total").inc(batch)
-        registry.counter("oram.bucket_reads_total").inc(
-            oram.stats.bucket_reads - reads_before)
-        registry.counter("oram.bucket_writes_total").inc(
-            oram.stats.bucket_writes - writes_before)
-        registry.counter("oram.eviction_passes_total").inc(
-            oram.stats.eviction_passes - evictions_before)
+        oram._flush_telemetry(registry, batch, before)
         registry.counter("oram.lookahead.batches_total").inc()
         registry.counter("oram.lookahead.batched_accesses_total").inc(batch)
-        registry.gauge("oram.stash_occupancy").set(oram.stash.occupancy)
-        registry.gauge("oram.stash_peak_occupancy").set_max(
-            oram.stash.peak_occupancy)
         registry.gauge("oram.lookahead.stash_high_water").set_max(
             oram.stash.peak_occupancy)
     registry.counter("oram.lookahead.shared_fetches_total").inc(
@@ -231,15 +214,19 @@ def lookahead_access_batch(oram, block_ids: Sequence[int],
 
 def _serve_batch(oram, plan: BatchPlan,
                  update_fns: Sequence[Optional[UpdateFn]],
-                 tracer: Optional[MemoryTracer]) -> List[np.ndarray]:
+                 tracer: Optional[MemoryTracer]
+                 ) -> Tuple[List[np.ndarray], Optional[Exception]]:
     """Serve every slot from the stash in arrival order.
 
     Each slot costs exactly one stash peek plus one stash update —
     duplicates included — so stash traffic never reveals multiplicity.
     Duplicate slots re-install the same fresh leaf (same value, same
-    traffic) and see the payload left by earlier same-id slots.
+    traffic) and see the payload left by earlier same-id slots. After the
+    first failed update no later slot is updated, as in the sequential
+    loop that stops there; the error comes back with the results.
     """
     results: List[np.ndarray] = []
+    error: Optional[Exception] = None
     for slot, block_id in enumerate(plan.block_ids):
         _record(tracer, READ, ADDR_SERVE + slot)
         found = oram.stash.peek(block_id)
@@ -247,14 +234,13 @@ def _serve_batch(oram, plan: BatchPlan,
             raise KeyError(
                 f"block {block_id} not found — ORAM invariant broken")
         _, payload = found
-        results.append(payload.copy())
-        fn = update_fns[slot]
-        if fn is not None:
-            payload = np.asarray(fn(payload), dtype=np.float64)
+        results.append(payload)
+        if error is None:
+            payload, error = oram._updated(payload, update_fns[slot])
         oram.stash.update(
             block_id, leaf=plan.new_leaves[plan.slot_to_unique[slot]],
             payload=payload)
-    return results
+    return results, error
 
 
 class SequentialLeakingBatcher:
@@ -274,14 +260,7 @@ class SequentialLeakingBatcher:
                      = None,
                      plan_tracer: Optional[MemoryTracer] = None
                      ) -> np.ndarray:
-        ids = [int(block_id) for block_id in block_ids]
-        if update_fns is None:
-            fns: List[Optional[UpdateFn]] = [None] * len(ids)
-        else:
-            fns = list(update_fns)
-            if len(fns) != len(ids):
-                raise ValueError(
-                    f"{len(ids)} block ids but {len(fns)} update fns")
+        ids, fns = parse_batch(block_ids, update_fns)
         if not ids:
             return np.zeros((0, oram.block_width))
         tracer = plan_tracer if plan_tracer is not None else oram.tracer

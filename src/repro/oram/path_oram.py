@@ -8,7 +8,7 @@ assigned leaves allow.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,12 +21,14 @@ from repro.oram.tree import DUMMY
 class PathORAM(OramController):
     """Tree ORAM with full-path read/writeback per access."""
 
+    scheme = "path"
     DEFAULT_STASH = 150           # paper: stash size 150 for Path ORAM
     DEFAULT_RECURSION_CUTOFF = 1 << 16  # paper: recursion beyond 2^16 blocks
     SUPPORTS_LOOKAHEAD = True
 
-    def _access_impl(self, block_id: int, old_leaf: int, new_leaf: int,
-                     update_fn: Optional[UpdateFn]) -> np.ndarray:
+    def _access_impl(self, block_id: int, update_fn: Optional[UpdateFn]
+                     ) -> Tuple[np.ndarray, Optional[Exception]]:
+        old_leaf, new_leaf = self._remap(block_id)
         path = self.tree.path_indices(old_leaf)
 
         # 1. Fetch the entire path into the stash.
@@ -37,16 +39,14 @@ class PathORAM(OramController):
         if found is None:
             raise KeyError(f"block {block_id} not found — ORAM invariant broken")
         _, payload = found
-        result = payload.copy()
-        if update_fn is not None:
-            payload = np.asarray(update_fn(payload), dtype=np.float64)
-        self.stash.add(block_id, new_leaf, payload)
+        updated, error = self._updated(payload, update_fn)
+        self.stash.add(block_id, new_leaf, updated)
 
         # 3. Write the path back greedily.
         self._writeback_path(path, old_leaf)
 
         self._check_stash_bound()
-        return result
+        return payload, error
 
     # ------------------------------------------------------------------
     # Path fetch / writeback (shared by access and background eviction)
@@ -68,11 +68,7 @@ class PathORAM(OramController):
                     # Dummy slot: same oblivious scan, no insertion.
                     self.stash._scan_trace(WRITE)
             # Bucket is now logically empty; writeback repopulates it.
-            self.tree.write_bucket(
-                bucket,
-                np.full(self.bucket_size, DUMMY, dtype=np.int64),
-                np.zeros(self.bucket_size, dtype=np.int64),
-                np.zeros((self.bucket_size, self.block_width)))
+            self.tree.write_blocks(bucket, ())
             self.stats.bucket_writes += 1
 
     def _writeback_path(self, path: Sequence[int], anchor_leaf: int) -> None:
@@ -86,14 +82,7 @@ class PathORAM(OramController):
             chosen = eligible[: self.bucket_size]
             for extra in eligible[self.bucket_size:]:
                 self.stash.add(*extra)  # return overflow to the stash
-            ids = np.full(self.bucket_size, DUMMY, dtype=np.int64)
-            leaves = np.zeros(self.bucket_size, dtype=np.int64)
-            payloads = np.zeros((self.bucket_size, self.block_width))
-            for slot, (bid, bleaf, bpayload) in enumerate(chosen):
-                ids[slot] = bid
-                leaves[slot] = bleaf
-                payloads[slot] = bpayload
-            self.tree.write_bucket(bucket, ids, leaves, payloads)
+            self.tree.write_blocks(bucket, chosen)
             self.stats.bucket_writes += 1
 
     # ------------------------------------------------------------------
@@ -124,14 +113,7 @@ class PathORAM(OramController):
                     lambda leaf, lvl=level, target=bucket:
                     lookahead.bucket_at(leaf, lvl, levels) == target,
                     self.bucket_size)
-                ids = np.full(self.bucket_size, DUMMY, dtype=np.int64)
-                leaves = np.zeros(self.bucket_size, dtype=np.int64)
-                payloads = np.zeros((self.bucket_size, self.block_width))
-                for slot, (bid, bleaf, bpayload) in enumerate(chosen):
-                    ids[slot] = bid
-                    leaves[slot] = bleaf
-                    payloads[slot] = bpayload
-                self.tree.write_bucket(bucket, ids, leaves, payloads)
+                self.tree.write_blocks(bucket, chosen)
                 self.stats.bucket_writes += 1
         return plan.num_fetched_buckets
 

@@ -18,11 +18,11 @@ against Path/Circuit in the ablation bench:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.oram.circuit_oram import bit_reverse
+from repro.oblivious.trace import READ
 from repro.oram.controller import OramController, UpdateFn
 from repro.oram.tree import DUMMY
 from repro.utils.validation import check_positive
@@ -31,6 +31,7 @@ from repro.utils.validation import check_positive
 class RingORAM(OramController):
     """Tree ORAM with single-slot bucket reads and batched evictions."""
 
+    scheme = "ring"
     DEFAULT_STASH = 80
     DEFAULT_RECURSION_CUTOFF = 1 << 16
 
@@ -45,7 +46,8 @@ class RingORAM(OramController):
         self.bucket_dummies = bucket_dummies
         self.evict_rate = evict_rate
         self._access_counter = 0
-        self._evict_counter = 0
+        # Initial placement respects the Z-real capacity per bucket.
+        self._initial_slots = bucket_reals
         # Recursive position-map construction passes bucket_size through the
         # generic factory; Ring derives its own (Z + S), so drop it.
         kwargs.pop("bucket_size", None)
@@ -60,75 +62,26 @@ class RingORAM(OramController):
         self._touches = np.zeros(self.tree.num_buckets, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    # Initial placement: respect the Z-real capacity per bucket.
-    # ------------------------------------------------------------------
-    def _load(self, payloads, leaves) -> None:
-        if payloads is None:
-            payloads = np.zeros((self.num_blocks, self.block_width))
-        payloads = np.asarray(payloads, dtype=np.float64)
-        if payloads.shape != (self.num_blocks, self.block_width):
-            raise ValueError(
-                f"initial payloads shape {payloads.shape} != "
-                f"({self.num_blocks}, {self.block_width})")
-        for block_id in range(self.num_blocks):
-            leaf = int(leaves[block_id])
-            placed = False
-            for bucket in reversed(self.tree.path_indices(leaf)):
-                real_used = int((self.tree.ids[bucket, : self.bucket_reals]
-                                 != DUMMY).sum())
-                if real_used < self.bucket_reals:
-                    slot = real_used
-                    self.tree.ids[bucket, slot] = block_id
-                    self.tree.leaves[bucket, slot] = leaf
-                    self.tree.payloads[bucket, slot] = payloads[block_id]
-                    placed = True
-                    break
-            if not placed:
-                self.stash.add(block_id, leaf, payloads[block_id])
-
-    # ------------------------------------------------------------------
     # Access protocol
     # ------------------------------------------------------------------
-    def _access_impl(self, block_id: int, old_leaf: int, new_leaf: int,
-                     update_fn: Optional[UpdateFn]) -> np.ndarray:
+    def _access_impl(self, block_id: int, update_fn: Optional[UpdateFn]
+                     ) -> Tuple[np.ndarray, Optional[Exception]]:
+        old_leaf, new_leaf = self._remap(block_id)
         payload = self._read_path(block_id, old_leaf)
-        result = payload.copy()
-        if update_fn is not None:
-            payload = np.asarray(update_fn(payload), dtype=np.float64)
-            if payload.shape != (self.block_width,):
-                raise ValueError(
-                    f"update produced shape {payload.shape}, expected "
-                    f"({self.block_width},)")
-        self.stash.add(block_id, new_leaf, payload)
+        updated, error = self._updated(payload, update_fn)
+        self.stash.add(block_id, new_leaf, updated)
 
+        # Every A accesses, one pass of the reverse-lex eviction schedule.
         self._access_counter += 1
         if self._access_counter % self.evict_rate == 0:
-            evict_leaf = bit_reverse(
-                self._evict_counter % self.tree.num_leaves
-                if self.tree.num_leaves > 1 else 0, self.tree.levels)
-            self._evict_counter += 1
-            self._evict_path(evict_leaf)
-            self.stats.eviction_passes += 1
+            self._deterministic_evict_pass()
 
         # Early reshuffle any bucket whose dummies are exhausted.
         for bucket in np.nonzero(self._touches >= self.bucket_dummies)[0]:
             self._reshuffle_bucket(int(bucket))
 
         self._check_stash_bound()
-        return result
-
-    def _background_evict_pass(self, leaf: int) -> None:
-        """Request-free stash drain: continue the reverse-lex evict order.
-
-        ``leaf`` is ignored — Ring ORAM's eviction path comes from its own
-        deterministic schedule, not the caller.
-        """
-        del leaf
-        evict_leaf = bit_reverse(
-            self._evict_counter % self.tree.num_leaves
-            if self.tree.num_leaves > 1 else 0, self.tree.levels)
-        self._evict_counter += 1
-        self._evict_path(evict_leaf)
+        return payload, error
 
     def _read_path(self, block_id: int, leaf: int) -> np.ndarray:
         """One payload-slot touch per bucket along the path."""
@@ -148,7 +101,7 @@ class RingORAM(OramController):
             # Exactly one payload-slot read, whatever it held.
             self.stats.bucket_reads += 1
             if self.tracer is not None:
-                self.tracer.record("R", self.tree.region, bucket)
+                self.tracer.record(READ, self.tree.region, bucket)
             self._valid[bucket, slot] = False
             self._touches[bucket] += 1
         if payload is None:
@@ -182,14 +135,7 @@ class RingORAM(OramController):
 
     def _write_bucket(self, bucket: int, blocks) -> None:
         """Install up to Z real blocks, refresh dummies/validity/counter."""
-        ids = np.full(self.bucket_size, DUMMY, dtype=np.int64)
-        leaves = np.zeros(self.bucket_size, dtype=np.int64)
-        payloads = np.zeros((self.bucket_size, self.block_width))
-        for slot, (block_id, leaf, payload) in enumerate(blocks):
-            ids[slot] = block_id
-            leaves[slot] = leaf
-            payloads[slot] = payload
-        self.tree.write_bucket(bucket, ids, leaves, payloads)
+        self.tree.write_blocks(bucket, blocks)
         self.stats.bucket_writes += 1
         self._valid[bucket] = True
         self._touches[bucket] = 0
@@ -201,7 +147,7 @@ class RingORAM(OramController):
         self._write_bucket(bucket, blocks)
 
     def _evict_path(self, leaf: int) -> None:
-        """Path-ORAM-style eviction of the reverse-lex path."""
+        """Path-ORAM-style eviction of one path of the reverse-lex schedule."""
         path = self.tree.path_indices(leaf)
         for bucket in path:
             for block in self._live_blocks(bucket):

@@ -34,12 +34,17 @@ fallback test).
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.oblivious.trace import READ, WRITE, MemoryTracer
-from repro.oram.controller import AccessStats, OramController, UpdateFn
+from repro.oram.controller import (
+    AccessStats,
+    OramController,
+    UpdateFn,
+    payload_table,
+)
 from repro.oram.position_map import FlatPositionMap
 from repro.oram.stash import Stash
 from repro.telemetry.runtime import get_registry
@@ -50,6 +55,7 @@ from repro.utils.validation import check_positive
 class SqrtORAM(OramController):
     """Permuted store + oblivious shelter + periodic reshuffle."""
 
+    scheme = "sqrt"
     SUPPORTS_LOOKAHEAD = False
 
     def __init__(self, num_blocks: int, block_width: int,
@@ -60,7 +66,7 @@ class SqrtORAM(OramController):
                  region_prefix: str = "") -> None:
         # Deliberately does NOT call the tree-based ``super().__init__``:
         # there is no bucket tree. Only the controller contract is kept —
-        # stats/stash/tracer/rng attributes, ``access``'s telemetry shape,
+        # stats/stash/tracer/rng attributes, ``access`` and its telemetry,
         # and the sequential ``access_batch`` fallback.
         check_positive("num_blocks", num_blocks)
         check_positive("block_width", block_width)
@@ -70,6 +76,7 @@ class SqrtORAM(OramController):
         self.tracer = tracer
         self.stats = AccessStats()
         self.overflow_callback = None
+        self._recursion_level = 0
 
         prefix = region_prefix or "sqrtoram"
         self.store_region = f"{prefix}.store"
@@ -84,13 +91,8 @@ class SqrtORAM(OramController):
         self.stash = Stash(self.persistent_stash_capacity, block_width,
                            tracer=tracer, region=f"{prefix}.shelter")
 
-        if initial_payloads is None:
-            initial_payloads = np.zeros((num_blocks, block_width))
-        initial_payloads = np.asarray(initial_payloads, dtype=np.float64)
-        if initial_payloads.shape != (num_blocks, block_width):
-            raise ValueError(
-                f"initial payloads shape {initial_payloads.shape} != "
-                f"({num_blocks}, {block_width})")
+        initial_payloads = payload_table(initial_payloads, num_blocks,
+                                         block_width, "initial payloads")
         total = num_blocks + self.num_dummies
         #: permutation: logical index (block id, or n+k for dummy k) → slot
         self._perm = self.rng.permutation(total).astype(np.int64)
@@ -114,36 +116,8 @@ class SqrtORAM(OramController):
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    def access(self, block_id: int,
-               update_fn: Optional[UpdateFn] = None) -> np.ndarray:
-        """One square-root ORAM access; returns the pre-update payload."""
-        if not 0 <= block_id < self.num_blocks:
-            raise IndexError(
-                f"block {block_id} out of range for ORAM of "
-                f"{self.num_blocks} blocks")
-        registry = get_registry()
-        reads_before = self.stats.bucket_reads
-        writes_before = self.stats.bucket_writes
-        evictions_before = self.stats.eviction_passes
-        try:
-            with registry.span("oram.access", scheme=type(self).__name__,
-                               level=0):
-                result = self._sqrt_access(block_id, update_fn)
-        finally:
-            registry.counter("oram.accesses_total").inc()
-            registry.counter("oram.bucket_reads_total").inc(
-                self.stats.bucket_reads - reads_before)
-            registry.counter("oram.bucket_writes_total").inc(
-                self.stats.bucket_writes - writes_before)
-            registry.counter("oram.eviction_passes_total").inc(
-                self.stats.eviction_passes - evictions_before)
-            registry.gauge("oram.stash_occupancy").set(self.stash.occupancy)
-            registry.gauge("oram.stash_peak_occupancy").set_max(
-                self.stash.peak_occupancy)
-        return result
-
-    def _sqrt_access(self, block_id: int,
-                     update_fn: Optional[UpdateFn]) -> np.ndarray:
+    def _access_impl(self, block_id: int, update_fn: Optional[UpdateFn]
+                     ) -> Tuple[np.ndarray, Optional[Exception]]:
         slot = self.position_map.lookup(block_id)
         held = self.stash.peek(block_id)
         if held is None:
@@ -155,24 +129,18 @@ class SqrtORAM(OramController):
             self._next_dummy += 1
         fetched = self._read_store(fetch_slot)
         value = fetched if held is None else held[1]
-        result = value.copy()
-        if update_fn is not None:
-            value = np.asarray(update_fn(value.copy()), dtype=np.float64)
-            if value.shape != (self.block_width,):
-                raise ValueError(
-                    f"update_fn returned shape {value.shape} != "
-                    f"({self.block_width},)")
+        updated, error = self._updated(value, update_fn)
         if held is None:
-            self.stash.add(block_id, slot, value)
+            self.stash.add(block_id, slot, updated)
         else:
-            self.stash.update(block_id, leaf=slot, payload=value)
+            self.stash.update(block_id, leaf=slot, payload=updated)
         self.stats.accesses += 1
         self.stats.revealed_leaves.append(fetch_slot)
         self._accesses_in_period += 1
         self._check_stash_bound()
         if self._accesses_in_period >= self.period:
             self._reshuffle()
-        return result
+        return value, error
 
     # ------------------------------------------------------------------
     # Reshuffle (every ⌈√n⌉ accesses — a pure function of access count)

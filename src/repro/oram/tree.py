@@ -33,6 +33,15 @@ def tree_levels_for(num_blocks: int) -> int:
     return levels
 
 
+def bit_reverse(value: int, bits: int) -> int:
+    """Reverse the low ``bits`` bits of ``value`` (reverse-lex eviction order)."""
+    result = 0
+    for _ in range(bits):
+        result = (result << 1) | (value & 1)
+        value >>= 1
+    return result
+
+
 class BucketTree:
     """Array-backed complete binary tree of Z-slot buckets."""
 
@@ -95,6 +104,18 @@ class BucketTree:
         self.leaves[bucket] = leaves
         self.payloads[bucket] = payloads
 
+    def write_blocks(self, bucket: int, blocks) -> None:
+        """Write ``(id, leaf, payload)`` blocks into the leading slots of
+        ``bucket`` and dummies into the rest (one traced bucket write)."""
+        ids = np.full(self.bucket_size, DUMMY, dtype=np.int64)
+        leaves = np.zeros(self.bucket_size, dtype=np.int64)
+        payloads = np.zeros((self.bucket_size, self.block_width))
+        for slot, (block_id, leaf, payload) in enumerate(blocks):
+            ids[slot] = block_id
+            leaves[slot] = leaf
+            payloads[slot] = payload
+        self.write_bucket(bucket, ids, leaves, payloads)
+
     def read_bucket_metadata(self, bucket: int) -> Tuple[np.ndarray, np.ndarray]:
         """Metadata-only read (ids, leaves) — Circuit ORAM's scan passes."""
         if self.tracer is not None:
@@ -108,20 +129,25 @@ class BucketTree:
         """Total real (non-dummy) blocks stored in the tree."""
         return int((self.ids != DUMMY).sum())
 
-    def find_slot(self, bucket: int) -> Optional[int]:
-        """Index of a free slot in ``bucket``, or ``None`` when full."""
-        free = np.nonzero(self.ids[bucket] == DUMMY)[0]
+    def find_slot(self, bucket: int,
+                  slots: Optional[int] = None) -> Optional[int]:
+        """Index of a free slot among the first ``slots`` (default: all) of
+        ``bucket``, or ``None`` when they are full."""
+        free = np.nonzero(self.ids[bucket, :slots] == DUMMY)[0]
         return int(free[0]) if free.size else None
 
-    def place_initial(self, block_id: int, leaf: int, payload: np.ndarray) -> bool:
+    def place_initial(self, block_id: int, leaf: int, payload: np.ndarray,
+                      slots: Optional[int] = None) -> bool:
         """Offline placement used at build time: deepest free slot on the path.
 
-        Initialization happens before any secret-dependent access, so direct
-        placement leaks nothing. Returns False when the whole path is full
-        (the caller then parks the block in the stash).
+        Only the first ``slots`` slots of each bucket take blocks (Ring
+        ORAM reserves the rest for dummies). Initialization happens before
+        any secret-dependent access, so direct placement leaks nothing.
+        Returns False when the whole path is full (the caller then parks
+        the block in the stash).
         """
         for bucket in reversed(self.path_indices(leaf)):
-            slot = self.find_slot(bucket)
+            slot = self.find_slot(bucket, slots)
             if slot is not None:
                 self.ids[bucket, slot] = block_id
                 self.leaves[bucket, slot] = leaf

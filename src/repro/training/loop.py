@@ -38,7 +38,7 @@ from repro.training.embedding import OnlineOramEmbedding
 from repro.utils.rng import new_rng
 from repro.utils.validation import check_in, check_positive
 
-_ORAM_CLASSES = {"path": PathORAM, "circuit": CircuitORAM}
+_ORAM_CLASSES = {cls.scheme: cls for cls in (PathORAM, CircuitORAM)}
 
 
 @dataclass(frozen=True)

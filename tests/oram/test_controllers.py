@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.oram.circuit_oram import CircuitORAM, bit_reverse
+from repro.oram.circuit_oram import CircuitORAM
 from repro.oram.path_oram import PathORAM
+from repro.oram.tree import bit_reverse
 
 ORAM_CLASSES = [PathORAM, CircuitORAM]
 

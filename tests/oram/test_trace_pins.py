@@ -6,6 +6,11 @@ against constants recorded from the scalar position-map implementation.
 Any change to the order, region or address of a single event, or to a
 returned value, changes the digest.
 
+Each case also pins its telemetry: the top-level controller's
+:class:`~repro.oram.controller.AccessStats` work counters and the
+``oram.*`` counters and gauges flushed into a scoped metrics registry
+(child ORAMs of a recursive position map report there too).
+
 Square-root ORAM always uses a flat position map (it has no recursion
 cutoff), so it is pinned in the flat configuration only.
 """
@@ -20,6 +25,7 @@ from repro.oram.circuit_oram import CircuitORAM
 from repro.oram.path_oram import PathORAM
 from repro.oram.ring_oram import RingORAM
 from repro.oram.sqrt_oram import SqrtORAM
+from repro.telemetry.runtime import use_registry
 
 NUM_BLOCKS = 40
 WIDTH = 3
@@ -78,6 +84,145 @@ PINS = {
 }
 
 
+#: (accesses, bucket reads, bucket writes, eviction passes, stash peak
+#: occupancy) of the top-level controller, then the oram.* counters and gauges
+TELEMETRY_PINS = {
+    ("path", "flat", "sequential"): (
+        (12, 84, 168, 0, 6),
+        {"oram.accesses_total": 12.0,
+         "oram.bucket_reads_total": 84.0,
+         "oram.bucket_writes_total": 168.0,
+         "oram.eviction_passes_total": 0.0,
+         "oram.stash_occupancy": 0.0,
+         "oram.stash_peak_occupancy": 6.0}),
+    ("path", "flat", "batch"): (
+        (12, 69, 138, 0, 9),
+        {"oram.accesses_total": 12.0,
+         "oram.bucket_reads_total": 69.0,
+         "oram.bucket_writes_total": 138.0,
+         "oram.eviction_passes_total": 0.0,
+         "oram.lookahead.batches_total": 3.0,
+         "oram.lookahead.batched_accesses_total": 12.0,
+         "oram.lookahead.shared_fetches_total": 3.0,
+         "oram.lookahead.padded_fetches_total": 20.0,
+         "oram.stash_occupancy": 0.0,
+         "oram.stash_peak_occupancy": 9.0,
+         "oram.lookahead.stash_high_water": 9.0}),
+    ("path", "recursive", "sequential"): (
+        (12, 84, 168, 0, 6),
+        {"oram.accesses_total": 24.0,
+         "oram.bucket_reads_total": 120.0,
+         "oram.bucket_writes_total": 240.0,
+         "oram.eviction_passes_total": 0.0,
+         "oram.stash_occupancy": 0.0,
+         "oram.stash_peak_occupancy": 6.0}),
+    ("path", "recursive", "batch"): (
+        (12, 69, 138, 0, 8),
+        {"oram.accesses_total": 24.0,
+         "oram.bucket_reads_total": 105.0,
+         "oram.bucket_writes_total": 210.0,
+         "oram.eviction_passes_total": 0.0,
+         "oram.lookahead.batches_total": 3.0,
+         "oram.lookahead.batched_accesses_total": 12.0,
+         "oram.lookahead.shared_fetches_total": 3.0,
+         "oram.lookahead.padded_fetches_total": 19.0,
+         "oram.stash_occupancy": 0.0,
+         "oram.stash_peak_occupancy": 8.0,
+         "oram.lookahead.stash_high_water": 8.0}),
+    ("circuit", "flat", "sequential"): (
+        (12, 420, 252, 24, 1),
+        {"oram.accesses_total": 12.0,
+         "oram.bucket_reads_total": 420.0,
+         "oram.bucket_writes_total": 252.0,
+         "oram.eviction_passes_total": 24.0,
+         "oram.stash_occupancy": 0.0,
+         "oram.stash_peak_occupancy": 1.0}),
+    ("circuit", "flat", "batch"): (
+        (12, 405, 237, 24, 3),
+        {"oram.accesses_total": 12.0,
+         "oram.bucket_reads_total": 405.0,
+         "oram.bucket_writes_total": 237.0,
+         "oram.eviction_passes_total": 24.0,
+         "oram.lookahead.batches_total": 3.0,
+         "oram.lookahead.batched_accesses_total": 12.0,
+         "oram.lookahead.shared_fetches_total": 3.0,
+         "oram.lookahead.padded_fetches_total": 20.0,
+         "oram.stash_occupancy": 0.0,
+         "oram.stash_peak_occupancy": 3.0,
+         "oram.lookahead.stash_high_water": 3.0}),
+    ("circuit", "recursive", "sequential"): (
+        (12, 420, 252, 24, 1),
+        {"oram.accesses_total": 24.0,
+         "oram.bucket_reads_total": 600.0,
+         "oram.bucket_writes_total": 360.0,
+         "oram.eviction_passes_total": 48.0,
+         "oram.stash_occupancy": 0.0,
+         "oram.stash_peak_occupancy": 1.0}),
+    ("circuit", "recursive", "batch"): (
+        (12, 405, 237, 24, 3),
+        {"oram.accesses_total": 24.0,
+         "oram.bucket_reads_total": 585.0,
+         "oram.bucket_writes_total": 345.0,
+         "oram.eviction_passes_total": 48.0,
+         "oram.lookahead.batches_total": 3.0,
+         "oram.lookahead.batched_accesses_total": 12.0,
+         "oram.lookahead.shared_fetches_total": 3.0,
+         "oram.lookahead.padded_fetches_total": 19.0,
+         "oram.stash_occupancy": 0.0,
+         "oram.stash_peak_occupancy": 3.0,
+         "oram.lookahead.stash_high_water": 3.0}),
+    ("ring", "flat", "sequential"): (
+        (12, 107, 23, 3, 8),
+        {"oram.accesses_total": 12.0,
+         "oram.bucket_reads_total": 107.0,
+         "oram.bucket_writes_total": 23.0,
+         "oram.eviction_passes_total": 3.0,
+         "oram.stash_occupancy": 0.0,
+         "oram.stash_peak_occupancy": 8.0}),
+    ("ring", "flat", "batch"): (
+        (12, 110, 26, 3, 7),
+        {"oram.accesses_total": 12.0,
+         "oram.bucket_reads_total": 110.0,
+         "oram.bucket_writes_total": 26.0,
+         "oram.eviction_passes_total": 3.0,
+         "oram.stash_occupancy": 0.0,
+         "oram.stash_peak_occupancy": 7.0}),
+    ("ring", "recursive", "sequential"): (
+        (12, 107, 23, 3, 8),
+        {"oram.accesses_total": 24.0,
+         "oram.bucket_reads_total": 153.0,
+         "oram.bucket_writes_total": 33.0,
+         "oram.eviction_passes_total": 6.0,
+         "oram.stash_occupancy": 0.0,
+         "oram.stash_peak_occupancy": 8.0}),
+    ("ring", "recursive", "batch"): (
+        (12, 110, 26, 3, 6),
+        {"oram.accesses_total": 24.0,
+         "oram.bucket_reads_total": 158.0,
+         "oram.bucket_writes_total": 38.0,
+         "oram.eviction_passes_total": 6.0,
+         "oram.stash_occupancy": 0.0,
+         "oram.stash_peak_occupancy": 6.0}),
+    ("sqrt", "flat", "sequential"): (
+        (12, 59, 47, 1, 5),
+        {"oram.accesses_total": 12.0,
+         "oram.bucket_reads_total": 59.0,
+         "oram.bucket_writes_total": 47.0,
+         "oram.eviction_passes_total": 1.0,
+         "oram.reshuffles_total": 1.0,
+         "oram.stash_occupancy": 5.0,
+         "oram.stash_peak_occupancy": 5.0}),
+    ("sqrt", "flat", "batch"): (
+        (12, 59, 47, 1, 5),
+        {"oram.accesses_total": 12.0,
+         "oram.bucket_reads_total": 59.0,
+         "oram.bucket_writes_total": 47.0,
+         "oram.eviction_passes_total": 1.0,
+         "oram.reshuffles_total": 1.0,
+         "oram.stash_occupancy": 4.0,
+         "oram.stash_peak_occupancy": 5.0}),
+}
+
 def _build(scheme, posmap):
     rng = np.random.default_rng(SEED)
     data = rng.normal(size=(NUM_BLOCKS, WIDTH))
@@ -95,20 +240,30 @@ def _bump(step):
 
 
 def run_case(scheme, posmap, mode):
-    """(trace digest, sha256 of the returned payloads) for one case."""
-    oram, tracer = _build(scheme, posmap)
-    outputs = []
-    if mode == "sequential":
-        for step, block in enumerate(SEQUENCE):
-            update = _bump(step) if step % 2 else None
-            outputs.append(oram.access(block, update))
-    else:
-        for step, batch in enumerate(BATCHES):
-            fns = [_bump(10 * step + slot) if slot % 2 == 0 else None
-                   for slot in range(len(batch))]
-            outputs.extend(oram.access_batch(batch, fns))
+    """(trace digest, sha256 of the returned payloads) for one case, plus
+    its telemetry: (AccessStats tuple, ``oram.*`` counters and gauges)."""
+    with use_registry() as registry:
+        oram, tracer = _build(scheme, posmap)
+        outputs = []
+        if mode == "sequential":
+            for step, block in enumerate(SEQUENCE):
+                update = _bump(step) if step % 2 else None
+                outputs.append(oram.access(block, update))
+        else:
+            for step, batch in enumerate(BATCHES):
+                fns = [_bump(10 * step + slot) if slot % 2 == 0 else None
+                       for slot in range(len(batch))]
+                outputs.extend(oram.access_batch(batch, fns))
     payloads = np.ascontiguousarray(np.stack(outputs), dtype=np.float64)
-    return tracer.digest(), hashlib.sha256(payloads.tobytes()).hexdigest()
+    stats = (oram.stats.accesses, oram.stats.bucket_reads,
+             oram.stats.bucket_writes, oram.stats.eviction_passes,
+             oram.stash.peak_occupancy)
+    snapshot = registry.snapshot()
+    metrics = {name: value for name, value
+               in {**snapshot["counters"], **snapshot["gauges"]}.items()
+               if name.startswith("oram.")}
+    return ((tracer.digest(), hashlib.sha256(payloads.tobytes()).hexdigest()),
+            (stats, metrics))
 
 
 CASES = [(scheme, posmap, mode)
@@ -119,4 +274,6 @@ CASES = [(scheme, posmap, mode)
 
 @pytest.mark.parametrize("scheme,posmap,mode", CASES)
 def test_trace_and_payloads_are_pinned(scheme, posmap, mode):
-    assert run_case(scheme, posmap, mode) == PINS[(scheme, posmap, mode)]
+    trace, telemetry = run_case(scheme, posmap, mode)
+    assert trace == PINS[(scheme, posmap, mode)]
+    assert telemetry == TELEMETRY_PINS[(scheme, posmap, mode)]

@@ -179,3 +179,18 @@ class TestCostModel:
         assert table.modelled_latency(batch=16) > 0
         assert table.is_oblivious
         assert table.technique == "oram-online"
+
+    def test_controller_subclass_is_priced_as_its_scheme(self):
+        """The cost model follows the controller's ``scheme``, so a
+        subclass (here a test double of Circuit ORAM) is not priced as
+        Path ORAM."""
+
+        class InstrumentedCircuitORAM(CircuitORAM):
+            pass
+
+        table = make_table(InstrumentedCircuitORAM)
+        circuit = make_table(CircuitORAM)
+        assert table.scheme == "circuit"
+        assert table.modelled_latency(batch=16) \
+            == circuit.modelled_latency(batch=16)
+        assert table.footprint_bytes() == circuit.footprint_bytes()
